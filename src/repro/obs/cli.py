@@ -9,7 +9,7 @@ optionally writes a validated Chrome trace-event JSON for Perfetto.
 ``--overhead-check`` instead times the same request with and without
 instrumentation (best of N wall-clock) and fails when the instrumented
 run's simulated-ops-per-second falls below ``1/limit`` of baseline —
-the CI perf-smoke gate invokes this with the default 2x limit
+the CI perf-smoke gate invokes this with the default 1.75x limit
 (``--format json`` emits the measured ratio + threshold for archiving).
 
 Subcommands of the regression observatory:
@@ -67,9 +67,9 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--overhead-check", action="store_true",
                         help="time instrumented vs uninstrumented and "
                              "assert the overhead bound")
-    parser.add_argument("--overhead-limit", type=float, default=2.0,
+    parser.add_argument("--overhead-limit", type=float, default=1.75,
                         help="max allowed wall-clock slowdown factor "
-                             "(default 2.0)")
+                             "(default 1.75)")
     parser.add_argument("--repeat", type=int, default=3,
                         help="best-of-N runs for --overhead-check")
     parser.add_argument("--history", nargs="?", const="", default=None,
@@ -130,7 +130,7 @@ def _overhead_check(request, repeat: int, limit: float,
         print(f"overhead-check {request.workload}/{request.system}: "
               f"uninstrumented {base_rate:,.0f} ops/s, "
               f"instrumented {inst_rate:,.0f} ops/s, "
-              f"slowdown {slowdown:.2f}x (limit {limit:.1f}x) "
+              f"slowdown {slowdown:.2f}x (limit {limit:.2f}x) "
               f"{'OK' if ok else 'FAIL'}")
     return 0 if ok else 1
 

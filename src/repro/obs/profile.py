@@ -36,6 +36,7 @@ asserted by the tests — nothing is silently dropped.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -69,60 +70,53 @@ class Attribution:
 def attribute(session) -> Attribution:
     """Run the retrospective attribution over a finalized session."""
     samples = session.samples
-    events = session.events
-    final: List[Optional[str]] = [None] * len(samples)
-    open_by_vid: Dict[int, List[int]] = {}
+    seqs = samples.seq
+    vids = samples.vid
+    # Start from the pretags; whatever is still untagged after the flushes
+    # below is useful.
+    final: List[Optional[str]] = list(samples.pretag)
 
-    def finish(index: int, default: str) -> None:
-        pretag = samples[index][5]
-        final[index] = pretag if pretag is not None else default
-
-    def finish_flushed(index: int) -> None:
-        pretag = samples[index][5]
-        final[index] = pretag if pretag in _FLUSH_SURVIVING_TAGS \
-            else "abort_replay"
-
-    # Merge the two seq-ordered streams (shared monotone counter).
-    si = ei = 0
-    while si < len(samples) or ei < len(events):
-        if ei >= len(events) or (si < len(samples)
-                                 and samples[si][0] < events[ei]["seq"]):
-            vid = samples[si][4]
-            if vid > 0:
-                open_by_vid.setdefault(vid, []).append(si)
-            else:
-                finish(si, "useful")
-            si += 1
-            continue
-        event = events[ei]
-        ei += 1
-        if event["kind"] == "commit":
-            for index in open_by_vid.pop(event["vid"], []):
-                finish(index, "useful")
-        elif event["kind"] == "abort":
-            for indices in open_by_vid.values():
-                for index in indices:
-                    finish_flushed(index)
-            open_by_vid.clear()
-    for indices in open_by_vid.values():
-        for index in indices:
-            finish(index, "useful")
+    # One pass over the events.  A speculative sample is flushed when an
+    # abort arrives before its VID commits, so within each stretch of
+    # samples up to an abort, the VID's last commit in that stretch
+    # decides: samples before it were kept, samples after it flushed.
+    lo = 0
+    last_commit: Dict[int, int] = {}
+    for event in session.events:
+        kind = event["kind"]
+        if kind == "commit":
+            last_commit[event["vid"]] = event["seq"]
+        elif kind == "abort":
+            hi = bisect_left(seqs, event["seq"], lo)
+            for index in range(lo, hi):
+                vid = vids[index]
+                if (vid > 0 and seqs[index] > last_commit.get(vid, 0)
+                        and final[index] not in _FLUSH_SURVIVING_TAGS):
+                    final[index] = "abort_replay"
+            lo = hi
+            last_commit.clear()
+    final = [category or "useful" for category in final]
 
     makespan = session.makespan
     per_thread: Dict[int, Dict[str, int]] = {}
     identity_ok = True
     stall_total = session.stall_cycles_total
     quiesce_total = getattr(session, "quiesce_cycles_total", 0)
-    for tid, indices in sorted(session._tid_sample_idx.items()):
+    starts = samples.start
+    latencies = samples.latency
+    for tid, indices in sorted(samples.by_tid.items()):
         cats: Dict[str, int] = {}
         cursor = 0
         gap_total = 0
         for index in indices:
-            _, _, start, latency, _, _ = samples[index]
+            start = starts[index]
+            latency = latencies[index]
             if start > cursor:
                 gap_total += start - cursor
-            cursor = max(cursor, start + latency)
-            category = final[index] or "useful"
+            end = start + latency
+            if end > cursor:
+                cursor = end
+            category = final[index]
             cats[category] = cats.get(category, 0) + latency
         # Machine-wide stalls show up as gaps in every thread's op stream.
         # Reattribute them in causal order: reset-scrub quiesce barriers
@@ -158,7 +152,7 @@ def attribute(session) -> Attribution:
         for category, cycles in cats.items():
             bucket[category] = bucket.get(category, 0) + cycles
     return Attribution(makespan=makespan,
-                       categories=[c or "useful" for c in final],
+                       categories=final,
                        per_thread=per_thread,
                        totals=dict(sorted(totals.items())),
                        per_socket={s: dict(sorted(cats.items()))

@@ -1,22 +1,28 @@
-"""The live observer: wraps one run's backend + scheduler, records streams.
+"""The live observer: wraps one run's backend, observes its scheduler.
 
 An :class:`ObsSession` is installed via :func:`repro.obs.hooks.activate`;
 while active, :func:`~repro.runtime.paradigms.base.fresh_system` and
 :func:`~repro.runtime.paradigms.base.make_scheduler` hand it every system
-and scheduler they build, and it instruments them with the repo's
-method-wrapping idiom (the ProtocolTracer/BackendTracer technique):
-original methods are stashed, ``functools.wraps``-preserving closures
-installed as instance attributes, and :meth:`detach` restores everything.
-Unobserved runs never see any of this — the hook point is ``None`` and
-the simulator executes its unmodified methods.
+and scheduler they build.  Backend methods are instrumented with the
+repo's method-wrapping idiom (the ProtocolTracer/BackendTracer
+technique): original methods are stashed, ``functools.wraps``-preserving
+closures installed as instance attributes.  The scheduler is not
+wrapped: the session sets its ``observer`` slot, and
+:meth:`~repro.runtime.scheduler.Scheduler.run` calls :meth:`step`, sets
+:attr:`ObsSession.op_now` and calls :meth:`record_op` from inside its
+fused per-op loop (``stall_all``/``quiesce_all`` call :meth:`stall`/
+:meth:`quiesce`).  :meth:`detach` restores everything.  Unobserved runs
+never see any of this — the hook point and the observer slot are
+``None`` and the simulator executes its unmodified methods.
 
 Recorded streams (all stamped in *simulated* cycles, ordered by one
 shared monotone ``seq``):
 
-* **op samples** — one ``[seq, tid, start, latency, vid, pretag]`` row
-  per executed core op, from the wrapped ``CoreExecutor.execute`` (which
-  receives the op's start time).  ``pretag`` is an optional category
-  assigned at record time (spin retags, overflow flags); final
+* **op samples** — one ``(seq, start, latency, vid, pretag)`` entry per
+  executed core op, stored column-wise in :class:`OpSamples` (indexed
+  by thread) and recorded by the scheduler as each op completes
+  (``start`` is the op's start time).  ``pretag`` is an optional
+  category assigned at record time (spin retags, overflow flags); final
   attribution happens in :mod:`repro.obs.profile`.
 * **events** — transaction lifecycle points (allocate/begin/commit/
   conflict/abort/vid_reset/stall) as small dicts.
@@ -27,9 +33,10 @@ shared monotone ``seq``):
   footprint peaks) plus an end-of-run snapshot of SystemStats /
   HierarchyStats / ContentionStats totals.
 
-The wraps are observation-only: they never change latencies, values, or
-the op stream, so an instrumented run is simulation-identical to an
-uninstrumented one (asserted by ``tests/obs/test_noop_guard.py``).
+The wraps and scheduler callbacks are observation-only: they never change
+latencies, values, or the op stream, so an instrumented run is
+simulation-identical to an uninstrumented one (asserted by
+``tests/obs/test_noop_guard.py``).
 """
 
 from __future__ import annotations
@@ -52,14 +59,35 @@ CATEGORIES = ("useful", "commit_stall", "vid_reset", "abort_replay",
               "queue_wait", "overflow", "idle")
 
 
+class OpSamples:
+    """Executed-op samples, one parallel list per field.
+
+    Sample ``i`` is ``(seq[i], start[i], latency[i], vid[i], pretag[i])``;
+    ``by_tid`` maps each thread to its sample indices in execution order.
+    Columns instead of a row object per op keep recording to a few list
+    appends and let the profiler scan one field.  Written only by
+    :meth:`ObsSession.record_op`.
+    """
+
+    __slots__ = ("seq", "start", "latency", "vid", "pretag", "by_tid")
+
+    def __init__(self) -> None:
+        self.seq: List[int] = []
+        self.start: List[int] = []
+        self.latency: List[int] = []
+        self.vid: List[int] = []
+        self.pretag: List[Optional[str]] = []
+        self.by_tid: Dict[int, List[int]] = {}
+
+
 class ObsSession:
     """One observed run: recorded streams plus the metrics registry."""
 
     def __init__(self,
                  runnable_sample_every: int = RUNNABLE_SAMPLE_EVERY) -> None:
         self.registry = MetricsRegistry()
-        #: ``[seq, tid, start, latency, vid, pretag]`` per executed op.
-        self.samples: List[list] = []
+        #: One sample per executed core op.
+        self.samples = OpSamples()
         self.events: List[Dict[str, Any]] = []
         self.spans: List[TxSpan] = []
         self.line_access_counts: Dict[int, int] = {}
@@ -86,10 +114,10 @@ class ObsSession:
         self.topology = None
         self._current_tid: Optional[int] = None
         self._current_thread: Optional[Any] = None
-        self._in_op = False
-        self._op_now = 0
+        #: Start time of the core op in flight, None between ops.  Set by
+        #: ``Scheduler.run`` before the op; backend events stamp it.
+        self.op_now: Optional[int] = None
         self._op_overflow = False
-        self._tid_sample_idx: Dict[int, List[int]] = {}
         #: vid -> (arrival_ts, queue_wait) of the latest open-loop
         #: request attempt; flushed into the svc histograms at commit so
         #: aborted attempts never double-count (committed-attempt
@@ -163,10 +191,11 @@ class ObsSession:
 
     def attach_scheduler(self, scheduler) -> None:
         self._schedulers.append(scheduler)
-        self._wrap_step(scheduler)
-        self._wrap_stall(scheduler)
-        self._wrap_quiesce(scheduler)
-        self._wrap_execute(scheduler)
+        self._install(scheduler, "observer", self)
+        self._stall_counter = self.registry.counter(
+            "backoff_stall_cycles_total")
+        self._quiesce_counter = self.registry.counter(
+            "vid_reset_quiesce_cycles_total")
 
     def record_spin(self, category: str, vid: int, count: int) -> None:
         """Retag the current thread's last ``count`` op samples as a stall.
@@ -176,17 +205,20 @@ class ObsSession:
         trailing samples of the spinning thread are exactly its spin ops,
         executed while this hook's caller was the running generator.
         """
-        indices = self._tid_sample_idx.get(self._current_tid)
+        samples = self.samples
+        indices = samples.by_tid.get(self._current_tid)
         if not indices:
             return
+        pretags = samples.pretag
+        vids = samples.vid
+        latencies = samples.latency
         cycles = 0
         for idx in indices[-count:]:
-            row = self.samples[idx]
-            if row[5] is None:
-                row[5] = category
+            if pretags[idx] is None:
+                pretags[idx] = category
             if vid:
-                row[4] = vid
-            cycles += row[3]
+                vids[idx] = vid
+            cycles += latencies[idx]
         self.registry.counter("spin_cycles_total", category=category) \
             .inc(cycles)
 
@@ -209,8 +241,8 @@ class ObsSession:
     # ------------------------------------------------------------------
 
     def _now(self) -> int:
-        if self._in_op:
-            return self._op_now
+        if self.op_now is not None:
+            return self.op_now
         thread = self._current_thread
         return thread.clock if thread is not None else 0
 
@@ -333,9 +365,9 @@ class ObsSession:
                             span.stores += 1
                         else:
                             span.loads += 1
-            if track_overflow and (hstats.spec_overflow_spills
-                                   + hstats.overflow_retrievals) \
-                    != overflow_before:
+            if track_overflow and session.op_now is not None and (
+                    hstats.spec_overflow_spills
+                    + hstats.overflow_retrievals) != overflow_before:
                 session._op_overflow = True
             if track_footprint and getattr(result, "created_version", False):
                 footprint = hierarchy.speculative_footprint_bytes()
@@ -445,96 +477,85 @@ class ObsSession:
         self._install(system, "vid_reset", wrapped)
 
     # ------------------------------------------------------------------
-    # Scheduler wraps
+    # Scheduler callbacks (made while ``scheduler.observer`` is this)
     # ------------------------------------------------------------------
 
-    def _wrap_step(self, scheduler) -> None:
-        original = scheduler._step
-        session = self
-        every = self.runnable_sample_every
+    def step(self, scheduler, thread) -> None:
+        """``thread`` is about to resume its generator for one step."""
+        self._current_tid = thread.tid
+        self._current_thread = thread
+        self._steps += 1
+        if self._steps % self.runnable_sample_every == 0:
+            runnable = sum(1 for t in scheduler.threads
+                           if not t.done and t.blocked_on is None
+                           and t.blocked_produce is None)
+            self.runnable_track.append((thread.clock, runnable))
 
-        @functools.wraps(original)
-        def wrapped(thread):
-            session._current_tid = thread.tid
-            session._current_thread = thread
-            session._steps += 1
-            if session._steps % every == 0:
-                runnable = sum(1 for t in scheduler.threads
-                               if not t.done and t.blocked_on is None
-                               and t.blocked_produce is None)
-                session.runnable_track.append((thread.clock, runnable))
-            return original(thread)
+    def end_op(self) -> None:
+        """``Scheduler.run`` returned or raised: no op is in flight.
 
-        self._install(scheduler, "_step", wrapped)
+        An op that raised records no sample; forgetting its start time
+        makes later events stamp the current thread's clock.
+        """
+        self.op_now = None
+        self._op_overflow = False
 
-    def _wrap_stall(self, scheduler) -> None:
-        original = scheduler.stall_all
-        session = self
-        stall_counter = self.registry.counter("backoff_stall_cycles_total")
+    def record_op(self, system, tid: int, start: int, latency: int) -> None:
+        """The op in flight completed: append its sample.
 
-        @functools.wraps(original)
-        def wrapped(cycles):
-            if cycles > 0:
-                session.stall_cycles_total += cycles
-                session._event("stall", ts=scheduler.now(), cycles=cycles)
-                stall_counter.inc(cycles)
-            return original(cycles)
+        Called before any interrupt is charged, so the sample covers the
+        op alone.  Accesses flag the op ``overflow`` only while
+        ``op_now`` is set, and the flag is consumed here.
+        """
+        self.op_now = None
+        ctx = system.contexts.get(tid)
+        seq = self._seq + 1
+        self._seq = seq
+        samples = self.samples
+        index = len(samples.seq)
+        samples.seq.append(seq)
+        samples.start.append(start)
+        samples.latency.append(latency)
+        samples.vid.append(ctx.vid if ctx is not None else 0)
+        if self._op_overflow:
+            self._op_overflow = False
+            samples.pretag.append("overflow")
+        else:
+            samples.pretag.append(None)
+        indices = samples.by_tid.get(tid)
+        if indices is None:
+            samples.by_tid[tid] = [index]
+        else:
+            indices.append(index)
 
-        self._install(scheduler, "stall_all", wrapped)
+    def record_execute(self, system, tid: int, op, start: int, value,
+                       latency: int) -> None:
+        """:meth:`record_op` for an op run by ``CoreExecutor.execute``."""
+        self.record_op(system, tid, start, latency)
+        if op.__class__ is Arrive:
+            # The executor hands back the accumulated queue wait (0
+            # when the core idled until the arrival).  Speculative
+            # requests settle at commit; VID-0 (serial-fallback)
+            # requests have no commit, so record them here.
+            queue_wait = value if isinstance(value, int) else 0
+            vid = self.samples.vid[-1]
+            if vid:
+                self._svc_pending[vid] = (op.ts, queue_wait)
+            else:
+                queue_hist, _ = self._svc_histograms()
+                queue_hist.observe(queue_wait)
 
-    def _wrap_quiesce(self, scheduler) -> None:
-        original = scheduler.quiesce_all
-        session = self
-        quiesce_counter = self.registry.counter(
-            "vid_reset_quiesce_cycles_total")
+    def stall(self, scheduler, cycles: int) -> None:
+        """Contention-manager backoff: every clock is about to advance."""
+        self.stall_cycles_total += cycles
+        self._event("stall", ts=scheduler.now(), cycles=cycles)
+        self._stall_counter.inc(cycles)
 
-        @functools.wraps(original)
-        def wrapped(cycles):
-            if cycles > 0:
-                session.quiesce_cycles_total += cycles
-                session._event("quiesce", ts=scheduler.now(), cycles=cycles)
-                quiesce_counter.inc(cycles)
-            return original(cycles)
-
-        self._install(scheduler, "quiesce_all", wrapped)
-
-    def _wrap_execute(self, scheduler) -> None:
-        executor = scheduler.executor
-        original = executor.execute
-        session = self
-        system = scheduler.system
-
-        @functools.wraps(original)
-        def wrapped(tid, op, now=0):
-            session._in_op = True
-            session._op_now = now
-            session._op_overflow = False
-            try:
-                value, latency = original(tid, op, now=now)
-            finally:
-                session._in_op = False
-            ctx = system.contexts.get(tid)
-            vid = ctx.vid if ctx is not None else 0
-            session._seq += 1
-            pretag = "overflow" if session._op_overflow else None
-            index = len(session.samples)
-            session.samples.append(
-                [session._seq, tid, now, latency, vid, pretag])
-            session._tid_sample_idx.setdefault(tid, []).append(index)
-            if type(op) is Arrive:
-                # The executor hands back the accumulated queue wait (0
-                # when the core idled until the arrival).  Speculative
-                # requests settle at commit; VID-0 (serial-fallback)
-                # requests have no commit, so record them here.
-                queue_wait = value if isinstance(value, int) else 0
-                if vid:
-                    session._svc_pending[vid] = (op.ts, queue_wait)
-                else:
-                    queue_hist, _ = session._svc_histograms()
-                    queue_hist.observe(queue_wait)
-            return value, latency
-
-        self._install(executor, "execute", wrapped)
+    def quiesce(self, scheduler, cycles: int) -> None:
+        """VID-reset scrub barrier: every clock is about to advance."""
+        self.quiesce_cycles_total += cycles
+        self._event("quiesce", ts=scheduler.now(), cycles=cycles)
+        self._quiesce_counter.inc(cycles)
 
     # ------------------------------------------------------------------
     # End-of-run metric snapshot + reconciliation

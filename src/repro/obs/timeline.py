@@ -90,22 +90,26 @@ class Timeline:
     counters: Dict[str, List[Tuple[int, int]]] = field(default_factory=dict)
 
 
-def _merge_slices(samples: List[list], categories: List[str]) -> List[Slice]:
+def _merge_slices(samples, categories: List[str]) -> List[Slice]:
     """Coalesce per-op samples into maximal same-category slices per tid.
 
-    ``samples`` rows are ``[seq, tid, start, latency, vid, pretag]``;
-    ``categories`` carries the final attribution, parallel to it.
+    ``samples`` is the session's column-wise
+    :class:`~repro.obs.session.OpSamples`; ``categories`` carries the
+    final attribution, parallel to it.
     """
-    per_tid: Dict[int, List[Tuple[int, int, str, int]]] = {}
-    for row, category in zip(samples, categories):
-        _, tid, start, latency, vid, _ = row
-        if latency <= 0:
-            continue
-        per_tid.setdefault(tid, []).append((start, latency, category, vid))
+    starts = samples.start
+    latencies = samples.latency
+    vids = samples.vid
     slices: List[Slice] = []
-    for tid in sorted(per_tid):
+    for tid, indices in sorted(samples.by_tid.items()):
         current: Optional[Slice] = None
-        for start, latency, category, vid in per_tid[tid]:
+        for index in indices:
+            latency = latencies[index]
+            if latency <= 0:
+                continue
+            start = starts[index]
+            category = categories[index]
+            vid = vids[index]
             if (current is not None and current.category == category
                     and current.vid == vid
                     and start <= current.start + current.duration):

@@ -18,7 +18,7 @@ Timing model:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional
 
 from ..cpu.core_model import CoreExecutor
@@ -99,11 +99,12 @@ class Scheduler:
         self.max_steps = max_steps
         self.threads: List[ThreadHandle] = []
         self._core_clock: Dict[int, int] = {}
+        #: The attached :class:`~repro.obs.session.ObsSession`, or None:
+        #: told about every step, core op and machine-wide stall.  Set and
+        #: cleared only by the session's attach/detach.
+        self.observer = None
         if hasattr(system, "quiesce_cb"):
-            # Late-bound on purpose: the obs session replaces
-            # ``quiesce_all`` in the instance dict, and the callback must
-            # go through that wrapper to be attributed.
-            system.quiesce_cb = lambda cycles: self.quiesce_all(cycles)
+            system.quiesce_cb = self.quiesce_all
 
     def add_thread(self, tid: int, core: int, program: Program,
                    start_clock: int = 0) -> ThreadHandle:
@@ -153,10 +154,9 @@ class Scheduler:
         """
         if cycles <= 0:
             return
-        for thread in self.threads:
-            thread.clock += cycles
-        for core in self._core_clock:
-            self._core_clock[core] += cycles
+        if self.observer is not None:
+            self.observer.stall(self, cycles)
+        self._advance_all(cycles)
 
     def quiesce_all(self, cycles: int) -> None:
         """Machine-wide quiesce barrier: the section 4.6 reset scrub.
@@ -171,6 +171,11 @@ class Scheduler:
         """
         if cycles <= 0:
             return
+        if self.observer is not None:
+            self.observer.quiesce(self, cycles)
+        self._advance_all(cycles)
+
+    def _advance_all(self, cycles: int) -> None:
         for thread in self.threads:
             thread.clock += cycles
         for core in self._core_clock:
@@ -198,19 +203,17 @@ class Scheduler:
         execute = executor.execute
         interrupts = self.interrupts
         system = self.system
-        # Observability (repro.obs) instruments runs by replacing _step /
-        # executor.execute with instance-level wrappers; the fused step
-        # below would bypass them, so instrumented runs keep the exact
-        # per-step call sequence.
-        instrumented = ("_step" in self.__dict__
-                        or "execute" in executor.__dict__)
+        observer = self.observer
         # Work/Load/Store/Branch cover almost every op a workload yields;
         # they are fused below (exactly what CoreExecutor.execute does for
         # each class, without the dispatch) when the executor is a plain
         # CoreExecutor.  system.load/store are hoisted through the
         # instance, so an observability wrapper installed before the run
-        # is still honoured.
-        fuse_work = not instrumented and executor.__class__ is CoreExecutor
+        # is still honoured.  An attached observer is told inside each
+        # branch (the step, the op's start time, its sample), so observed
+        # runs keep the fused loop; unobserved runs pay one ``is not
+        # None`` test per step and per op.
+        fuse_work = executor.__class__ is CoreExecutor
         estats = executor.stats
         epc = executor._pc
         work_unit = executor.costs.work_unit
@@ -220,154 +223,186 @@ class Scheduler:
         #: Threads not yet done — rebuilt when one finishes, so the sweep
         #: never rescans completed threads.
         live_threads = [t for t in self.threads if not t.done]
-        while True:
-            # Fused sweep: unblock every thread whose queue became ready
-            # (exactly what _collect_runnable does), while tracking the
-            # runnable thread with the smallest (clock, tid) — one pass,
-            # no intermediate lists.  This loop dominates simulator wall
-            # time, hence the hand-tuning.
-            best = None
-            # Sentinel larger than any reachable clock, so the selection
-            # compare needs no ``best is None`` test per thread.
-            best_clock = 0x7FFFFFFFFFFFFFFF
-            best_tid = 0
-            for thread in live_threads:
-                if thread.blocked_on is not None:
-                    entry = queues.get(thread.blocked_on).try_consume(
-                        thread.clock)
-                    if entry is None:
-                        continue
-                    value, ready_time = entry
-                    if ready_time > thread.clock:
-                        thread.clock = ready_time
-                    thread.clock += queue_op
-                    thread.pending_value = value
-                    thread.blocked_on = None
-                elif thread.blocked_produce is not None:
-                    queue_name, value = thread.blocked_produce
-                    queue = queues.get(queue_name)
-                    if queue.full():
-                        continue
-                    # Space appeared when a consumer popped; the producer's
-                    # clock advances to that moment (back-pressure stall).
-                    if queue.last_pop_time > thread.clock:
-                        thread.clock = queue.last_pop_time
-                    thread.clock += queue_op
-                    queue.produce(value, thread.clock)
-                    thread.blocked_produce = None
-                clock = thread.clock
-                if clock < best_clock or (
-                        clock == best_clock and thread.tid < best_tid):
-                    best = thread
-                    best_clock = clock
-                    best_tid = thread.tid
-            if not live_threads:
-                break
-            if best is None:
-                live = [t.tid for t in self.threads if not t.done]
-                raise DeadlockError(f"threads {live} all blocked on queues")
-            # Inlined _step for the dominant plain-op case (same logic,
-            # minus one call frame and the attribute reloads per step);
-            # queue ops fall back to the shared helper.
-            thread = best
-            if instrumented:
-                self._step(thread)
-                if thread.done:
+        try:
+            while True:
+                # Fused sweep: unblock every thread whose queue became
+                # ready, while tracking the runnable thread with the
+                # smallest (clock, tid) — one pass, no intermediate lists.
+                # This loop dominates simulator wall time, hence the
+                # hand-tuning.
+                best = None
+                # Sentinel larger than any reachable clock, so the
+                # selection compare needs no ``best is None`` test per
+                # thread.
+                best_clock = 0x7FFFFFFFFFFFFFFF
+                best_tid = 0
+                for thread in live_threads:
+                    if thread.blocked_on is not None:
+                        entry = queues.get(thread.blocked_on).try_consume(
+                            thread.clock)
+                        if entry is None:
+                            continue
+                        value, ready_time = entry
+                        if ready_time > thread.clock:
+                            thread.clock = ready_time
+                        thread.clock += queue_op
+                        thread.pending_value = value
+                        thread.blocked_on = None
+                    elif thread.blocked_produce is not None:
+                        queue_name, value = thread.blocked_produce
+                        queue = queues.get(queue_name)
+                        if queue.full():
+                            continue
+                        # Space appeared when a consumer popped; the
+                        # producer's clock advances to that moment
+                        # (back-pressure stall).
+                        if queue.last_pop_time > thread.clock:
+                            thread.clock = queue.last_pop_time
+                        thread.clock += queue_op
+                        queue.produce(value, thread.clock)
+                        thread.blocked_produce = None
+                    clock = thread.clock
+                    if clock < best_clock or (
+                            clock == best_clock and thread.tid < best_tid):
+                        best = thread
+                        best_clock = clock
+                        best_tid = thread.tid
+                if not live_threads:
+                    break
+                if best is None:
+                    live = [t.tid for t in self.threads if not t.done]
+                    raise DeadlockError(
+                        f"threads {live} all blocked on queues")
+                # One step of the chosen thread: plain ops inline, queue
+                # ops through the shared helper.
+                thread = best
+                if observer is not None:
+                    observer.step(self, thread)
+                try:
+                    op = thread.program.send(thread.pending_value)
+                except StopIteration:
+                    thread.done = True
                     live_threads = [t for t in self.threads if not t.done]
+                    op = None
+                if op is not None:
+                    thread.pending_value = None
+                    thread.ops_executed += 1
+                    cls = op.__class__
+                    if fuse_work and cls is Work:
+                        core = thread.core
+                        start = core_clock[core]
+                        if best_clock > start:
+                            start = best_clock
+                        cycles = op.cycles
+                        estats.instructions += cycles if cycles > 1 else 1
+                        epc[thread.tid] += 4
+                        clock = start + cycles * work_unit
+                        if observer is not None:
+                            observer.record_op(system, thread.tid, start,
+                                               clock - start)
+                        if interrupts is not None:
+                            clock += interrupts.maybe_interrupt(
+                                system, thread.tid, core, clock)
+                        thread.clock = clock
+                        core_clock[core] = clock
+                        thread.pending_value = None
+                    elif fuse_work and cls is Load:
+                        core = thread.core
+                        start = core_clock[core]
+                        if best_clock > start:
+                            start = best_clock
+                        estats.instructions += 1
+                        estats.loads += 1
+                        epc[thread.tid] += 4
+                        if observer is None:
+                            result = system_load(thread.tid, op.addr, start)
+                        else:
+                            observer.op_now = start
+                            result = system_load(thread.tid, op.addr, start)
+                            observer.record_op(system, thread.tid, start,
+                                               result.latency)
+                        clock = start + result.latency
+                        if interrupts is not None:
+                            clock += interrupts.maybe_interrupt(
+                                system, thread.tid, core, clock)
+                        thread.clock = clock
+                        core_clock[core] = clock
+                        thread.pending_value = result.value
+                    elif fuse_work and cls is Store:
+                        core = thread.core
+                        start = core_clock[core]
+                        if best_clock > start:
+                            start = best_clock
+                        estats.instructions += 1
+                        estats.stores += 1
+                        epc[thread.tid] += 4
+                        if observer is None:
+                            result = system_store(thread.tid, op.addr,
+                                                  op.value, start)
+                        else:
+                            observer.op_now = start
+                            result = system_store(thread.tid, op.addr,
+                                                  op.value, start)
+                            observer.record_op(system, thread.tid, start,
+                                               result.latency)
+                        clock = start + result.latency
+                        if interrupts is not None:
+                            clock += interrupts.maybe_interrupt(
+                                system, thread.tid, core, clock)
+                        thread.clock = clock
+                        core_clock[core] = clock
+                        thread.pending_value = None
+                    elif fuse_work and cls is Branch:
+                        core = thread.core
+                        start = core_clock[core]
+                        if best_clock > start:
+                            start = best_clock
+                        estats.instructions += 1
+                        epc[thread.tid] += 4
+                        if observer is None:
+                            clock = start + execute_branch(thread.tid, op)
+                        else:
+                            observer.op_now = start
+                            latency = execute_branch(thread.tid, op)
+                            observer.record_op(system, thread.tid, start,
+                                               latency)
+                            clock = start + latency
+                        if interrupts is not None:
+                            clock += interrupts.maybe_interrupt(
+                                system, thread.tid, core, clock)
+                        thread.clock = clock
+                        core_clock[core] = clock
+                        thread.pending_value = None
+                    elif cls is not Produce and cls is not Consume:
+                        core = thread.core
+                        start = core_clock[core]
+                        if best_clock > start:
+                            start = best_clock
+                        if observer is None:
+                            value, latency = execute(thread.tid, op, start)
+                        else:
+                            observer.op_now = start
+                            value, latency = execute(thread.tid, op, start)
+                            observer.record_execute(system, thread.tid, op,
+                                                    start, value, latency)
+                        clock = start + latency
+                        if interrupts is not None:
+                            clock += interrupts.maybe_interrupt(
+                                system, thread.tid, core, clock)
+                        thread.clock = clock
+                        core_clock[core] = clock
+                        thread.pending_value = value
+                    else:
+                        self._queue_step(thread, op, cls)
                 steps += 1
                 if steps > max_steps:
                     raise ReproError(f"exceeded {max_steps} scheduler steps")
-                continue
-            try:
-                op = thread.program.send(thread.pending_value)
-            except StopIteration:
-                thread.done = True
-                live_threads = [t for t in self.threads if not t.done]
-                op = None
-            if op is not None:
-                thread.pending_value = None
-                thread.ops_executed += 1
-                cls = op.__class__
-                if fuse_work and cls is Work:
-                    core = thread.core
-                    start = core_clock[core]
-                    if best_clock > start:
-                        start = best_clock
-                    cycles = op.cycles
-                    estats.instructions += cycles if cycles > 1 else 1
-                    epc[thread.tid] += 4
-                    clock = start + cycles * work_unit
-                    if interrupts is not None:
-                        clock += interrupts.maybe_interrupt(
-                            system, thread.tid, core, clock)
-                    thread.clock = clock
-                    core_clock[core] = clock
-                    thread.pending_value = None
-                elif fuse_work and cls is Load:
-                    core = thread.core
-                    start = core_clock[core]
-                    if best_clock > start:
-                        start = best_clock
-                    estats.instructions += 1
-                    estats.loads += 1
-                    epc[thread.tid] += 4
-                    result = system_load(thread.tid, op.addr, start)
-                    clock = start + result.latency
-                    if interrupts is not None:
-                        clock += interrupts.maybe_interrupt(
-                            system, thread.tid, core, clock)
-                    thread.clock = clock
-                    core_clock[core] = clock
-                    thread.pending_value = result.value
-                elif fuse_work and cls is Store:
-                    core = thread.core
-                    start = core_clock[core]
-                    if best_clock > start:
-                        start = best_clock
-                    estats.instructions += 1
-                    estats.stores += 1
-                    epc[thread.tid] += 4
-                    result = system_store(thread.tid, op.addr, op.value,
-                                          start)
-                    clock = start + result.latency
-                    if interrupts is not None:
-                        clock += interrupts.maybe_interrupt(
-                            system, thread.tid, core, clock)
-                    thread.clock = clock
-                    core_clock[core] = clock
-                    thread.pending_value = None
-                elif fuse_work and cls is Branch:
-                    core = thread.core
-                    start = core_clock[core]
-                    if best_clock > start:
-                        start = best_clock
-                    estats.instructions += 1
-                    epc[thread.tid] += 4
-                    clock = start + execute_branch(thread.tid, op)
-                    if interrupts is not None:
-                        clock += interrupts.maybe_interrupt(
-                            system, thread.tid, core, clock)
-                    thread.clock = clock
-                    core_clock[core] = clock
-                    thread.pending_value = None
-                elif cls is not Produce and cls is not Consume:
-                    core = thread.core
-                    start = core_clock[core]
-                    if best_clock > start:
-                        start = best_clock
-                    value, latency = execute(thread.tid, op, start)
-                    clock = start + latency
-                    if interrupts is not None:
-                        clock += interrupts.maybe_interrupt(
-                            system, thread.tid, core, clock)
-                    thread.clock = clock
-                    core_clock[core] = clock
-                    thread.pending_value = value
-                else:
-                    self._queue_step(thread, op, cls)
-            steps += 1
-            if steps > max_steps:
-                raise ReproError(f"exceeded {max_steps} scheduler steps")
+        finally:
+            # An op that raised (misspeculation) never reached
+            # record_op; close it so events during recovery are stamped
+            # with the thread clock, not the failed op's start.
+            if observer is not None:
+                observer.end_op()
         thread_clocks = {t.tid: t.clock for t in self.threads}
         return RunResult(
             makespan=max(thread_clocks.values(), default=0),
@@ -378,70 +413,8 @@ class Scheduler:
 
     # ------------------------------------------------------------------
 
-    def _collect_runnable(self) -> Optional[List[ThreadHandle]]:
-        """Unblock consumers whose queues filled; None when all are done.
-
-        Reference implementation of the sweep that :meth:`run` fuses into
-        its selection loop; kept for tests and interactive debugging.
-        """
-        live = [t for t in self.threads if not t.done]
-        if not live:
-            return None
-        runnable = []
-        for thread in live:
-            if thread.blocked_on is not None:
-                entry = self.queues.get(thread.blocked_on).try_consume(thread.clock)
-                if entry is None:
-                    continue
-                value, ready_time = entry
-                thread.clock = max(thread.clock, ready_time)
-                thread.clock += self.system.config.op_costs.queue_op
-                thread.pending_value = value
-                thread.blocked_on = None
-            elif thread.blocked_produce is not None:
-                queue_name, value = thread.blocked_produce
-                queue = self.queues.get(queue_name)
-                if queue.full():
-                    continue
-                # Space appeared when a consumer popped; the producer's
-                # clock advances to that moment (back-pressure stall).
-                thread.clock = max(thread.clock, queue.last_pop_time)
-                thread.clock += self.system.config.op_costs.queue_op
-                queue.produce(value, thread.clock)
-                thread.blocked_produce = None
-            runnable.append(thread)
-        return runnable
-
-    def _step(self, thread: ThreadHandle) -> None:
-        try:
-            op = thread.program.send(thread.pending_value)
-        except StopIteration:
-            thread.done = True
-            return
-        thread.pending_value = None
-        thread.ops_executed += 1
-        cls = type(op)
-        if cls is not Produce and cls is not Consume:
-            # Hot path: plain core op — no queue interaction.
-            core = thread.core
-            core_clock = self._core_clock
-            clock = thread.clock
-            start = core_clock[core]
-            if clock > start:
-                start = clock
-            value, latency = self.executor.execute(thread.tid, op, now=start)
-            clock = start + latency
-            if self.interrupts is not None:
-                clock += self.interrupts.maybe_interrupt(
-                    self.system, thread.tid, core, clock)
-            thread.clock = clock
-            core_clock[core] = clock
-            thread.pending_value = value
-            return
-        self._queue_step(thread, op, cls)
-
     def _queue_step(self, thread: ThreadHandle, op: Op, cls: type) -> None:
-        """Produce/Consume handling shared by :meth:`run` and :meth:`_step`."""
+        """Produce/Consume handling for one step of :meth:`run`."""
         if cls is Produce:
             queue = self.queues.get(op.queue)
             if queue.full():

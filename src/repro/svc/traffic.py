@@ -23,7 +23,11 @@ state, byte-identical streams for equal seeds (pinned by
 
 from __future__ import annotations
 
+import operator
+from array import array
 from bisect import bisect_left
+from functools import lru_cache
+from itertools import accumulate, repeat
 from typing import List
 
 from ..workloads.common import Lcg
@@ -38,12 +42,30 @@ def _uniform(rng: Lcg) -> float:
     return rng.next(_FLOAT_BITS) / _FLOAT_BITS
 
 
+@lru_cache(maxsize=4)
+def _zipf_cdf(n: int, theta: float) -> memoryview:
+    """Normalised cumulative Zipf(theta) popularity over ``n`` ranks.
+
+    A read-only view of an ``array('d')``, shared by every sampler with
+    the same ``(n, theta)``.  The sums are sequential float additions in
+    rank order (``accumulate``), so the table is bit-identical to a plain
+    running-sum loop; it is built from iterators, never a list of boxed
+    floats.
+    """
+    sums = array("d", accumulate(map(pow, range(1, n + 1), repeat(-theta))))
+    total = sums[-1]
+    cdf = array("d", map(operator.truediv, sums, repeat(total)))
+    return memoryview(cdf).toreadonly()
+
+
 class ZipfianSampler:
     """Zipf(theta)-distributed ranks over ``[0, n)``; rank 0 is hottest.
 
     The cumulative popularity table costs O(n) to build and one bisect
-    per draw — fast enough for the svc keyspace (10^5–10^6 keys at
-    scale 1.0) because it is built once per workload instantiation.
+    per draw.  It depends only on ``(n, theta)``, so it is built once
+    per distinct pair and shared read-only between samplers (the svc
+    keyspace is 10^5–10^6 keys at scale 1.0, and every svc workload in
+    a sweep draws from the same table).
     """
 
     def __init__(self, n: int, theta: float = 0.99, seed: int = 1) -> None:
@@ -52,12 +74,7 @@ class ZipfianSampler:
         self.n = n
         self.theta = theta
         self._rng = Lcg(seed)
-        cdf: List[float] = []
-        running = 0.0
-        for rank in range(n):
-            running += (rank + 1) ** -theta
-            cdf.append(running)
-        self._cdf = [value / running for value in cdf]
+        self._cdf = _zipf_cdf(n, theta)
 
     def sample(self) -> int:
         """Draw one rank (0 = most popular)."""

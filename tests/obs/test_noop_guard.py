@@ -10,10 +10,16 @@ Three guarantees, in increasing strength:
    an observed run is bit-identical to a run that never saw one.
 3. Observation itself is behaviour-free: the snapshot of an *observed*
    run equals the snapshot of an unobserved run, counter for counter.
+
+Observed runs also keep the scheduler's fused per-op loop: the session
+observes through the scheduler's ``observer`` slot, never by wrapping
+``CoreExecutor.execute``.
 """
 
 from __future__ import annotations
 
+from repro.cpu.core_model import CoreExecutor
+from repro.cpu.isa import Branch, Load, Store, Work
 from repro.obs import hooks
 from repro.obs.session import ObsSession
 
@@ -44,6 +50,15 @@ class TestNoResidue:
         again = _run_contended_list()
         assert again == baseline
 
+    def test_detach_clears_every_scheduler_observer(self):
+        session = ObsSession()
+        with session.activate():
+            _run_contended_list()
+        assert session._schedulers
+        assert all(s.observer is session for s in session._schedulers)
+        session.detach()
+        assert all(s.observer is None for s in session._schedulers)
+
     def test_exception_inside_activation_clears_hook(self):
         try:
             with ObsSession().activate():
@@ -73,3 +88,24 @@ class TestObservationIsBehaviourFree:
     def test_fig8_benchmark_identical_under_observation(self):
         run = lambda: _run_fig8_slice("ispell")  # noqa: E731
         assert self._observed(run) == run()
+
+
+class TestObservedRunsStayFused:
+    def test_plain_ops_never_reach_execute(self, monkeypatch):
+        # Class-level spy: Scheduler.run still sees a plain CoreExecutor,
+        # so it fuses exactly as it would without the spy.
+        executed = []
+        original = CoreExecutor.execute
+
+        def spy(self, tid, op, now=0):
+            executed.append(op.__class__)
+            return original(self, tid, op, now)
+
+        monkeypatch.setattr(CoreExecutor, "execute", spy)
+        session = ObsSession()
+        with session.activate():
+            _run_contended_list()
+        session.detach()
+        assert session.samples.seq
+        assert executed, "the spy saw no op at all"
+        assert not {Work, Load, Store, Branch} & set(executed)

@@ -105,27 +105,27 @@ class TestAttribution:
         class Backend:
             last_committed = 0
 
+        class System:
+            contexts = {}
+
         backend = Backend()
+        system = System()
         with session.activate():
             gen = wait_commit_turn(backend, 3)
             for spin in range(3):
                 op = next(gen)
                 assert isinstance(op, Work)
-                # Mimic the executor recording the spin op as a sample.
-                session._seq += 1
-                session.samples.append(
-                    [session._seq, 7, 100 + spin * op.cycles,
-                     op.cycles, 0, None])
-                session._tid_sample_idx.setdefault(7, []).append(
-                    len(session.samples) - 1)
+                # Mimic the scheduler recording the spin op as a sample.
+                session.record_op(system, 7, 100 + spin * op.cycles,
+                                  op.cycles)
             backend.last_committed = 2
             with pytest.raises(StopIteration):
                 next(gen)
-        assert [row[5] for row in session.samples] == ["commit_stall"] * 3
-        assert [row[4] for row in session.samples] == [3] * 3
+        assert session.samples.pretag == ["commit_stall"] * 3
+        assert session.samples.vid == [3] * 3
         counters = session.registry.collect()["counters"]
         assert counters['spin_cycles_total{category="commit_stall"}'] \
-            == sum(row[3] for row in session.samples)
+            == sum(session.samples.latency)
 
     def test_spin_branches_yield_identical_op_streams(self):
         # The traced and untraced branches of the spin helper must emit

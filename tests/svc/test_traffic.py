@@ -65,6 +65,40 @@ class TestZipfianSampler:
         ZipfianSampler(500, seed=seed).sample_many(100)
         assert random.getstate() == state
 
+    @pytest.mark.parametrize("n,theta,seed,ranks", [
+        (200_000, 0.99, 42, [
+            1, 100142, 719, 626, 47, 44539, 12, 1244, 190581, 389, 9,
+            44862, 47451, 21, 117572, 191, 9, 38, 100, 54, 19, 1280, 25921,
+            95879, 3225, 821, 34, 7322, 190298, 60668, 35673, 9755, 1864,
+            144, 0, 5096, 67498, 385, 39450, 84823, 3077, 612, 11620,
+            157231, 16, 1820, 28329, 13, 787, 0, 5, 2539, 1883, 43955,
+            17749, 15961, 34694, 17, 196031, 5634, 733, 6, 283, 167031]),
+        (256, 0.5, 7, [
+            30, 14, 132, 52, 204, 7, 255, 198, 153, 97, 95, 8, 149, 30, 0,
+            209, 172, 16, 149, 43, 141, 223, 96, 5, 243, 0, 1, 61, 24, 11,
+            197, 157, 170, 47, 121, 41, 1, 181, 191, 92, 42, 49, 1, 192,
+            242, 120, 25, 40, 0, 74, 21, 30, 241, 27, 59, 109, 246, 26,
+            246, 41, 118, 191, 55, 75]),
+    ])
+    def test_pinned_rank_streams(self, n, theta, seed, ranks):
+        # Captured from the per-sampler list table: the shared array
+        # table must reproduce its draws exactly.
+        assert ZipfianSampler(n, theta=theta, seed=seed).sample_many(64) \
+            == ranks
+
+    def test_equal_keyspaces_share_one_table(self):
+        a = ZipfianSampler(4096, theta=0.8, seed=1)
+        b = ZipfianSampler(4096, theta=0.8, seed=2)
+        assert a._cdf is b._cdf
+        assert ZipfianSampler(4096, theta=0.7)._cdf is not a._cdf
+        assert ZipfianSampler(4095, theta=0.8)._cdf is not a._cdf
+
+    def test_shared_table_is_read_only(self):
+        table = ZipfianSampler(64, seed=3)._cdf
+        with pytest.raises(TypeError):
+            table[0] = 0.5
+        assert ZipfianSampler(64, seed=4)._cdf[0] == table[0]
+
 
 class TestBurstyArrivals:
     @settings(max_examples=25, deadline=None)
