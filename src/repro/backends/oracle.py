@@ -26,12 +26,14 @@ from ..core.context import ThreadContext
 from ..core.stats import SystemStats
 from ..errors import MisspeculationError, TransactionUsageError
 from ..smtx.memory import SmtxMemory
-from ..smtx.system import _MemoryFacade
+from ..smtx.system import BufferedTM, _MemoryFacade
 from ..txctl.causes import AbortCause
 
 
-class OracleTMSystem:
+class OracleTMSystem(BufferedTM):
     """A multicore with a zero-overhead, never-aborting TM."""
+
+    access_label = "oracle"
 
     def __init__(self, config: Optional[MachineConfig] = None,
                  sla_enabled: bool = True) -> None:
@@ -49,23 +51,20 @@ class OracleTMSystem:
         self.active_vids: Set[int] = set()
         self.last_committed = 0
         self.committed_output: list = []
+        #: The attached backend observer, or None (see
+        #: :attr:`repro.core.system.HMTXSystem.observer`).
+        self.observer = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def thread(self, tid: int, core: int) -> ThreadContext:
-        if tid not in self.contexts:
-            self.contexts[tid] = ThreadContext(tid=tid, core=core)
-        return self.contexts[tid]
-
     def allocate_vid(self) -> int:
         vid = self.vid_space.allocate()
         self.active_vids.add(vid)
+        if self.observer is not None:
+            self.observer.allocate(self, vid)
         return vid
-
-    def ready_for_vid_reset(self) -> bool:
-        return False
 
     def vid_reset(self) -> int:
         raise TransactionUsageError("oracle VIDs are unbounded; no reset exists")
@@ -80,7 +79,10 @@ class OracleTMSystem:
                 raise TransactionUsageError(
                     f"beginMTX({vid}) after VID {self.last_committed} committed")
             self.active_vids.add(vid)
-        self.contexts[tid].vid = vid
+        ctx = self.contexts[tid]
+        previous, ctx.vid = ctx.vid, vid
+        if self.observer is not None:
+            self.observer.begin(self, tid, vid, previous)
         return self.config.op_costs.mtx_instruction
 
     def init_mtx(self, tid: int, handler: Callable[..., Any]) -> int:
@@ -104,13 +106,19 @@ class OracleTMSystem:
             self.committed_output.extend(context.release_output(vid))
         if ctx.vid == vid:
             ctx.vid = 0
-        return self.config.op_costs.mtx_instruction
+        latency = self.config.op_costs.mtx_instruction
+        if self.observer is not None:
+            self.observer.commit(self, tid, vid, latency)
+        return latency
 
     def abort_mtx(self, tid: int, vid: int) -> int:
         """Software-detected misspeculation still aborts (the one way)."""
         self._abort()
-        raise MisspeculationError(f"explicit abortMTX({vid})", vid=vid,
+        err = MisspeculationError(f"explicit abortMTX({vid})", vid=vid,
                                   cause=AbortCause.EXPLICIT)
+        if self.observer is not None:
+            self.observer.abort(self, "abort_mtx", err)
+        raise err
 
     # ------------------------------------------------------------------
     # Memory operations
@@ -118,20 +126,28 @@ class OracleTMSystem:
 
     def load(self, tid: int, addr: int, now: int = 0) -> AccessResult:
         ctx = self.contexts[tid]
-        value, _ = self._read_with_source(ctx.vid, addr)
+        vid = ctx.vid
+        value, _ = self._read_with_source(vid, addr)
         latency = self.timing.load(ctx.core, addr, 0, now=now).latency
-        if ctx.vid > 0:
-            self.stats.record_load(ctx.vid, addr, sla_sent=False)
-        return AccessResult(value, latency, True, "oracle")
+        if vid > 0:
+            self.stats.record_load(vid, addr, sla_sent=False)
+        result = AccessResult(value, latency, True, "oracle")
+        if self.observer is not None:
+            self.observer.access(self, "load", tid, addr, vid, value, result)
+        return result
 
     def store(self, tid: int, addr: int, value: int,
               now: int = 0) -> AccessResult:
         ctx = self.contexts[tid]
+        vid = ctx.vid
         latency = self.timing.store(ctx.core, addr, 0, 0, now=now).latency
-        self.memory.write(ctx.vid, addr, value)
-        if ctx.vid > 0:
-            self.stats.record_store(ctx.vid, addr)
-        return AccessResult(value, latency, True, "oracle")
+        self.memory.write(vid, addr, value)
+        if vid > 0:
+            self.stats.record_store(vid, addr)
+        result = AccessResult(value, latency, True, "oracle")
+        if self.observer is not None:
+            self.observer.access(self, "store", tid, addr, vid, value, result)
+        return result
 
     def wrong_path_load(self, tid: int, addr: int) -> Tuple[int, int]:
         """Perfect hardware never lets a squashed load mark anything."""
@@ -140,36 +156,6 @@ class OracleTMSystem:
         value = self.memory.read(ctx.vid, addr)
         _, latency = self.timing.peek(ctx.core, addr, 0)
         return value, latency
-
-    def kernel_load(self, tid: int, addr: int) -> AccessResult:
-        ctx = self.contexts[tid]
-        latency = self.timing.load(ctx.core, addr, 0).latency
-        return AccessResult(self.memory.read(0, addr), latency, True, "oracle")
-
-    def kernel_store(self, tid: int, addr: int, value: int) -> AccessResult:
-        ctx = self.contexts[tid]
-        latency = self.timing.store(ctx.core, addr, 0, 0).latency
-        self.memory.write(0, addr, value)
-        return AccessResult(value, latency, True, "oracle")
-
-    def output(self, tid: int, value: Any) -> None:
-        ctx = self.contexts[tid]
-        if ctx.vid > 0:
-            ctx.buffer_output(value)
-        else:
-            self.committed_output.append(value)
-
-    # ------------------------------------------------------------------
-
-    def _read_with_source(self, vid: int, addr: int) -> Tuple[int, int]:
-        """Read with uncommitted value forwarding (0 = committed source)."""
-        word = addr - (addr % self.memory.backing.word_size)
-        if vid > 0:
-            for buffer_vid in sorted(self.memory.live_vids(), reverse=True):
-                if buffer_vid <= vid and \
-                        word in self.memory._buffers[buffer_vid]:
-                    return self.memory._buffers[buffer_vid][word], buffer_vid
-        return self.memory.backing.read_word(word), 0
 
     def _abort(self) -> None:
         self.memory.abort_all()

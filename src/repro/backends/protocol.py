@@ -27,7 +27,10 @@ A backend models one machine running one TM scheme.  The surface:
   program output until commit (4.7).
 * **observability** — ``stats`` (a :class:`SystemStats`), ``config``,
   ``hierarchy`` (values + latency), ``active_vids`` / ``last_committed``
-  / ``committed_output``.
+  / ``committed_output``, and the ``observer`` slot: ``None`` by default,
+  else a :class:`BackendObserver` the backend reports each access,
+  begin, commit, abort, VID allocation and reset to, at the place it
+  happens, behind one ``is not None`` test.
 
 Aborts are reported by raising :class:`~repro.errors.MisspeculationError`
 with a :class:`~repro.txctl.causes.AbortCause` stamped at the raise site;
@@ -40,6 +43,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Optional,
     Protocol,
     Set,
     Tuple,
@@ -82,7 +86,56 @@ PROTOCOL_ATTRIBUTES = (
     "active_vids",
     "last_committed",
     "committed_output",
+    "observer",
 )
+
+
+class BackendObserver(Protocol):
+    """The events a backend reports to its ``observer`` slot.
+
+    Each is made right after the backend's own state change, with the
+    reporting backend as ``system``.  ``access`` follows a ``load``/
+    ``store``/``kernel_load``/``kernel_store`` (``op``): ``vid`` is the
+    issuing VID (0 for kernel accesses), ``value`` the data moved,
+    ``overflowed`` whether the access moved the hierarchy's overflow
+    counters.  ``abort`` follows the flush of all uncommitted state by
+    ``op``, just before it raises ``err`` (``addr`` is the accessed
+    address when ``op`` is a memory access).
+    """
+
+    def access(self, system: Any, op: str, tid: int, addr: int, vid: int,
+               value: int, result: AccessResult,
+               overflowed: bool = False) -> None: ...
+
+    def begin(self, system: Any, tid: int, vid: int,
+              previous: int) -> None: ...
+
+    def commit(self, system: Any, tid: int, vid: int,
+               latency: int) -> None: ...
+
+    def abort(self, system: Any, op: str, err: Any,
+              addr: Optional[int] = None) -> None: ...
+
+    def allocate(self, system: Any, vid: int) -> None: ...
+
+    def vid_reset(self, system: Any) -> None: ...
+
+
+def attach_observer(system: Any, observer: BackendObserver) -> None:
+    """Point ``system.observer`` at ``observer``; a backend reports to one
+    observer, so attaching a second one is an error."""
+    current = system.observer
+    if current is not None:
+        raise RuntimeError(
+            f"{type(system).__name__} is already observed by "
+            f"{type(current).__name__}; detach it first")
+    system.observer = observer
+
+
+def detach_observer(system: Any, observer: BackendObserver) -> None:
+    """Clear ``system.observer`` if it is ``observer`` (idempotent)."""
+    if system.observer is observer:
+        system.observer = None
 
 
 @runtime_checkable
@@ -96,6 +149,7 @@ class TMBackend(Protocol):
     active_vids: Set[int]
     last_committed: int
     committed_output: list
+    observer: Optional[BackendObserver]
 
     # -- lifecycle ------------------------------------------------------
 

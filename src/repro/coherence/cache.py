@@ -139,6 +139,9 @@ class VersionedCache:
 
     def __init__(self, name: str, size: int, assoc: int, line_size: int = 64,
                  hit_latency: int = 2, vid_bits: int = 6) -> None:
+        if line_size <= 0 or line_size & (line_size - 1):
+            raise ValueError(f"{name}: line_size must be a power of two, "
+                             f"got {line_size}")
         if size % (assoc * line_size):
             raise ValueError("cache size must be a multiple of assoc * line_size")
         self.name = name
@@ -173,14 +176,10 @@ class VersionedCache:
         #: Hierarchy hook: called ``(cache, base, present)`` when this cache
         #: gains its first / loses its last version of a line address.
         self.presence_listener: Optional[Callable] = None
-        # Precomputed address masks (power-of-two geometry is the norm;
-        # anything else falls back to div/mod).
-        if line_size & (line_size - 1) == 0:
-            self._offset_mask = line_size - 1
-            self._line_shift = line_size.bit_length() - 1
-        else:
-            self._offset_mask = None
-            self._line_shift = None
+        # Precomputed address masks.  A set count that is not a power of
+        # two is legitimate (a 3 MB 16-way LLC has 3072) and takes a modulo.
+        self._offset_mask = line_size - 1
+        self._line_shift = line_size.bit_length() - 1
         self._index_mask = (self.num_sets - 1
                             if self.num_sets & (self.num_sets - 1) == 0
                             else None)
@@ -190,16 +189,13 @@ class VersionedCache:
     # ------------------------------------------------------------------
 
     def line_addr(self, addr: int) -> int:
-        mask = self._offset_mask
-        if mask is not None:
-            return addr & ~mask
-        return addr - (addr % self.line_size)
+        return addr & ~self._offset_mask
 
     def set_index(self, addr: int) -> int:
         """Set index depends only on the address, never on VIDs (4.1)."""
-        if self._offset_mask is not None and self._index_mask is not None:
+        if self._index_mask is not None:
             return (addr >> self._line_shift) & self._index_mask
-        return (self.line_addr(addr) // self.line_size) % self.num_sets
+        return (addr >> self._line_shift) % self.num_sets
 
     def _set_list(self, index: int) -> List[int]:
         slots = self._sets.get(index)

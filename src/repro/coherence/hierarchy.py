@@ -232,11 +232,9 @@ class MemoryHierarchy:
         self._caches: Tuple[VersionedCache, ...] = ()
         self._peer_lists: List[Tuple[VersionedCache, ...]] = []
         self._rebuild_cache_lists()
-        # Word-index shift for the fused access fast path (power-of-two
-        # geometry only; anything else falls back to the generic path).
-        word = self.memory.word_size
-        self._word_shift = (word.bit_length() - 1
-                            if word & (word - 1) == 0 else None)
+        # Word-index shift for the fused access path (MainMemory rejects a
+        # word size that is not a power of two).
+        self._word_shift = self.memory.word_size.bit_length() - 1
         for cache in self._caches:
             cache.presence_listener = self._on_presence
 
@@ -470,180 +468,160 @@ class MemoryHierarchy:
 
     def _access(self, core: int, addr: int, vid: int, kind: AccessKind,
                 value: Optional[int], now: int = 0) -> AccessResult:  # hot-path
-        # Fused fast path (power-of-two geometry): the lookup scan runs
-        # directly on the line-store columns — lazy processing gated on the
-        # bucket's epochs, comparator engagements counted inline exactly as
+        # Fused access path (line and word sizes are powers of two, checked
+        # at construction): the lookup scan runs directly on the line-store
+        # columns — lazy processing gated on the bucket's epochs,
+        # comparator engagements counted inline exactly as
         # CascadedComparator.compare would, LRU touched on the hit — and
         # the dominant access shapes then complete with direct column
         # reads/writes.  Complex shapes (upgrades, aborts, new versions)
         # hand the found slot to _apply; misses take the fetch path below.
-        # Both continuations receive identical statistics to the generic
-        # lookup they replace.
+        # Both continuations receive the statistics VersionedCache.lookup
+        # would produce.
         l1 = self.l1s[core]
         mask = l1._offset_mask
         wshift = self._word_shift
-        if mask is not None and wshift is not None:
-            store = l1._store
-            state_col = store.state
-            mod_col = store.mod_vid
-            high_col = store.high_vid
-            epochs = store.epoch
-            lru_col = store.lru_tick
-            data_col = store.data
-            comparator = l1.comparator
-            l1stats = l1.stats
-            hit_latency = l1.hit_latency
-            name = l1.name
-            base = addr & ~mask
-            bucket = l1._by_base.get(base)
-            if bucket is not None:
-                epoch = l1._epoch
-                for s in bucket:
-                    if epochs[s] != epoch:
-                        bucket = l1._process_bucket(base)
-                        break
-            slot = -1
-            if bucket:
-                eff = l1.lc_vid if vid == 0 else vid
-                if len(bucket) == 1:
-                    s = bucket[0]
-                    code = state_col[s]
-                    if code < CODE_SM:
-                        if code != CODE_INVALID:
-                            slot = s
+        store = l1._store
+        state_col = store.state
+        mod_col = store.mod_vid
+        high_col = store.high_vid
+        epochs = store.epoch
+        lru_col = store.lru_tick
+        data_col = store.data
+        comparator = l1.comparator
+        l1stats = l1.stats
+        hit_latency = l1.hit_latency
+        name = l1.name
+        base = addr & ~mask
+        bucket = l1._by_base.get(base)
+        if bucket is not None:
+            epoch = l1._epoch
+            for s in bucket:
+                if epochs[s] != epoch:
+                    bucket = l1._process_bucket(base)
+                    break
+        slot = -1
+        if bucket:
+            eff = l1.lc_vid if vid == 0 else vid
+            if len(bucket) == 1:
+                s = bucket[0]
+                code = state_col[s]
+                if code < CODE_SM:
+                    if code != CODE_INVALID:
+                        slot = s
+                else:
+                    mod = mod_col[s]
+                    high = high_col[s]
+                    shift = comparator.low_bits
+                    if (eff >> shift) == (mod >> shift):
+                        comparator.fast_comparisons += 1
                     else:
+                        comparator.cascaded_comparisons += 1
+                    if (eff >> shift) == (high >> shift):
+                        comparator.fast_comparisons += 1
+                    else:
+                        comparator.cascaded_comparisons += 1
+                    if (eff >= mod if code <= CODE_SE
+                            else mod <= eff < high):
+                        slot = s
+            else:
+                shift = comparator.low_bits
+                fast = 0
+                cascaded = 0
+                for s in bucket:
+                    code = state_col[s]
+                    if code >= CODE_SM:
                         mod = mod_col[s]
                         high = high_col[s]
-                        shift = comparator.low_bits
                         if (eff >> shift) == (mod >> shift):
-                            comparator.fast_comparisons += 1
+                            fast += 1
                         else:
-                            comparator.cascaded_comparisons += 1
+                            cascaded += 1
                         if (eff >> shift) == (high >> shift):
-                            comparator.fast_comparisons += 1
+                            fast += 1
                         else:
-                            comparator.cascaded_comparisons += 1
-                        if (eff >= mod if code <= CODE_SE
-                                else mod <= eff < high):
-                            slot = s
-                else:
-                    shift = comparator.low_bits
-                    fast = 0
-                    cascaded = 0
-                    for s in bucket:
-                        code = state_col[s]
-                        if code >= CODE_SM:
-                            mod = mod_col[s]
-                            high = high_col[s]
-                            if (eff >> shift) == (mod >> shift):
-                                fast += 1
-                            else:
-                                cascaded += 1
-                            if (eff >> shift) == (high >> shift):
-                                fast += 1
-                            else:
-                                cascaded += 1
-                            hits = (eff >= mod if code <= CODE_SE
-                                    else mod <= eff < high)
-                        else:
-                            hits = code != CODE_INVALID
-                        if hits:
-                            if slot >= 0:
-                                raise AssertionError(
-                                    f"{name}: two versions hit VID {eff} "
-                                    f"at 0x{base:x}: {l1._view(slot)!r} and "
-                                    f"{l1._view(s)!r}")
-                            slot = s
-                    comparator.fast_comparisons += fast
-                    comparator.cascaded_comparisons += cascaded
-            if slot >= 0:
-                l1._tick += 1
-                lru_col[slot] = l1._tick
-                code = state_col[slot]
-                if kind is AccessKind.WRITE and code == CODE_SS:
-                    # Silent shared speculative copies never serve writes;
-                    # the write must reach the version's owner on the bus.
-                    slot = -1
-            if slot >= 0:
-                l1stats.hits += 1
-                word = (addr & mask) >> wshift
-                if kind is AccessKind.READ:
-                    if vid == 0:
+                            cascaded += 1
+                        hits = (eff >= mod if code <= CODE_SE
+                                else mod <= eff < high)
+                    else:
+                        hits = code != CODE_INVALID
+                    if hits:
+                        if slot >= 0:
+                            raise AssertionError(
+                                f"{name}: two versions hit VID {eff} "
+                                f"at 0x{base:x}: {l1._view(slot)!r} and "
+                                f"{l1._view(s)!r}")
+                        slot = s
+                comparator.fast_comparisons += fast
+                comparator.cascaded_comparisons += cascaded
+        if slot >= 0:
+            l1._tick += 1
+            lru_col[slot] = l1._tick
+            code = state_col[slot]
+            if kind is AccessKind.WRITE and code == CODE_SS:
+                # Silent shared speculative copies never serve writes;
+                # the write must reach the version's owner on the bus.
+                slot = -1
+        if slot >= 0:
+            l1stats.hits += 1
+            word = (addr & mask) >> wshift
+            if kind is AccessKind.READ:
+                if vid == 0:
+                    return AccessResult(
+                        data_col[slot][word], hit_latency, True, name)
+                if code >= CODE_SM:
+                    high = high_col[slot]
+                    sla = code <= CODE_SE and high < vid
+                    if sla:
+                        high_col[slot] = vid
+                    return AccessResult(
+                        data_col[slot][word], hit_latency, True, name,
+                        sla_required=sla)
+                if code == CODE_MODIFIED or code == CODE_EXCLUSIVE:
+                    # First speculative read of an exclusive line:
+                    # enters S-M/S-E (Figure 4 entry arc) and requires
+                    # a retired-load SLA message.
+                    l1._retag_slot(
+                        slot,
+                        CODE_SM if code == CODE_MODIFIED else CODE_SE,
+                        0, vid)
+                    return AccessResult(
+                        data_col[slot][word], hit_latency, True, name,
+                        sla_required=True)
+                # OWNED/SHARED need an upgrade: _apply handles it.
+            else:
+                if vid == 0:
+                    if code == CODE_MODIFIED or code == CODE_EXCLUSIVE:
+                        if code == CODE_EXCLUSIVE:
+                            state_col[slot] = CODE_MODIFIED
+                        data_col[slot][word] = value
                         return AccessResult(
-                            data_col[slot][word], hit_latency, True, name)
-                    if code >= CODE_SM:
-                        high = high_col[slot]
-                        sla = code <= CODE_SE and high < vid
-                        if sla:
+                            value, hit_latency, True, name)
+                elif code == CODE_SM or code == CODE_SE:
+                    mod = mod_col[slot]
+                    high = high_col[slot]
+                    if vid == mod and vid >= high:
+                        # Same transaction re-writes its own latest
+                        # version in place.
+                        self._scrub_ss_copies(addr, mod)
+                        data_col[slot][word] = value
+                        if vid > high:
                             high_col[slot] = vid
                         return AccessResult(
-                            data_col[slot][word], hit_latency, True, name,
-                            sla_required=sla)
-                    if code == CODE_MODIFIED or code == CODE_EXCLUSIVE:
-                        # First speculative read of an exclusive line:
-                        # enters S-M/S-E (Figure 4 entry arc) and requires
-                        # a retired-load SLA message.
-                        l1._retag_slot(
-                            slot,
-                            CODE_SM if code == CODE_MODIFIED else CODE_SE,
-                            0, vid)
-                        return AccessResult(
-                            data_col[slot][word], hit_latency, True, name,
-                            sla_required=True)
-                    # OWNED/SHARED need an upgrade: _apply handles it.
-                else:
-                    if vid == 0:
-                        if code == CODE_MODIFIED or code == CODE_EXCLUSIVE:
-                            if code == CODE_EXCLUSIVE:
-                                state_col[slot] = CODE_MODIFIED
-                            data_col[slot][word] = value
-                            return AccessResult(
-                                value, hit_latency, True, name)
-                    elif code == CODE_SM or code == CODE_SE:
-                        mod = mod_col[slot]
-                        high = high_col[slot]
-                        if vid == mod and vid >= high:
-                            # Same transaction re-writes its own latest
-                            # version in place.
-                            self._scrub_ss_copies(addr, mod)
-                            data_col[slot][word] = value
-                            if vid > high:
-                                high_col[slot] = vid
-                            return AccessResult(
-                                value, hit_latency, True, name)
-                    # Upgrades, conflicts, and copy-creating writes:
-                    # _apply decides on the found version.
-                return self._apply(core, l1._view(slot), addr, vid, kind,
-                                   value, hit_latency, True, name)
-            # Miss (or silent S-S copy on a write): fetch over the bus.
-            latency = hit_latency
-            l1stats.misses += 1
-            latency += self._bus_transaction(now + latency)
-            hit, transfer_latency, served_by = self._fetch(
-                core, addr, vid, kind, now=now + latency)
-            latency += transfer_latency
-            return self._apply(core, hit, addr, vid, kind, value, latency,
-                               False, served_by)
-        # Non-power-of-two geometry: generic lookup path.
-        l1 = self.l1s[core]
-        latency = l1.hit_latency
-        hit = l1.lookup(addr, vid)
-        if hit is not None and kind is AccessKind.WRITE and hit.state is State.SS:
-            # Silent shared speculative copies never serve writes; the write
-            # must reach the version's owner on the bus.
-            hit = None
-        served_by = l1.name
-        l1_hit = hit is not None
-        if hit is None:
-            l1.stats.misses += 1
-            latency += self._bus_transaction(now + latency)
-            hit, transfer_latency, served_by = self._fetch(
-                core, addr, vid, kind, now=now + latency)
-            latency += transfer_latency
-        else:
-            l1.stats.hits += 1
+                            value, hit_latency, True, name)
+                # Upgrades, conflicts, and copy-creating writes:
+                # _apply decides on the found version.
+            return self._apply(core, l1._view(slot), addr, vid, kind,
+                               value, hit_latency, True, name)
+        # Miss (or silent S-S copy on a write): fetch over the bus.
+        latency = hit_latency
+        l1stats.misses += 1
+        latency += self._bus_transaction(now + latency)
+        hit, transfer_latency, served_by = self._fetch(
+            core, addr, vid, kind, now=now + latency)
+        latency += transfer_latency
         return self._apply(core, hit, addr, vid, kind, value, latency,
-                           l1_hit, served_by)
+                           False, served_by)
 
     def _fetch(self, core: int, addr: int, vid: int,
                kind: AccessKind, now: int = 0) -> Tuple[LineView, int, str]:

@@ -32,6 +32,9 @@ class MainMemory:
     writebacks: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
+        if self.word_size <= 0 or self.word_size & (self.word_size - 1):
+            raise ValueError(
+                f"word_size must be a power of two, got {self.word_size}")
         if self.line_size % self.word_size:
             raise ValueError("line size must be a multiple of word size")
 

@@ -80,6 +80,25 @@ class MachineConfig:
             raise ValueError(f"unknown placement policy "
                              f"{self.placement!r}; choose from "
                              f"{PLACEMENT_POLICIES}")
+        line = self.line_size
+        if line <= 0 or line & (line - 1):
+            raise ValueError(f"line_size must be a power of two, got {line}")
+        # The caches the hierarchy will build: the L1s, then the shared L2
+        # (flat machine) or one LLC slice per socket.
+        caches = [("l1_size", self.l1_size, "l1_assoc", self.l1_assoc)]
+        topo = self.topology
+        if topo is None or topo.flat:
+            caches.append(("l2_size", self.l2_size, "l2_assoc", self.l2_assoc))
+        else:
+            caches.append(("topology.llc_slice_size", topo.llc_slice_size,
+                           "topology.llc_slice_assoc", topo.llc_slice_assoc))
+        for size_field, size, assoc_field, assoc in caches:
+            if assoc < 1:
+                raise ValueError(f"{assoc_field} must be >= 1, got {assoc}")
+            if size % (assoc * line):
+                raise ValueError(
+                    f"{size_field} ({size}) must be a multiple of "
+                    f"{assoc_field} * line_size ({assoc} * {line})")
 
     def hierarchy_config(self) -> HierarchyConfig:
         """Project the machine configuration onto the cache hierarchy."""

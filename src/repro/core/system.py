@@ -68,6 +68,12 @@ class HMTXSystem:
         #: protocol-level users (the model checker, unit tests) pay the
         #: latency on the calling thread instead.
         self.quiesce_cb: Optional[Callable[[int], None]] = None
+        #: The attached backend observer (an
+        #: :class:`~repro.obs.session.ObsSession` or
+        #: :class:`~repro.trace.capture.BackendTracer`), or None: told
+        #: about every access, begin, commit, abort, VID allocation and
+        #: reset.  Set and cleared only by the observer's attach/detach.
+        self.observer = None
 
     # ------------------------------------------------------------------
     # Thread management
@@ -109,6 +115,8 @@ class HMTXSystem:
         """
         vid = self.vid_space.allocate()
         self.active_vids.add(vid)
+        if self.observer is not None:
+            self.observer.allocate(self, vid)
         return vid
 
     def ready_for_vid_reset(self) -> bool:
@@ -137,7 +145,9 @@ class HMTXSystem:
         if (self.quiesce_cb is not None and topo is not None
                 and topo.sockets > 1):
             self.quiesce_cb(latency)
-            return 1
+            latency = 1
+        if self.observer is not None:
+            self.observer.vid_reset(self)
         return latency
 
     # ------------------------------------------------------------------
@@ -158,7 +168,9 @@ class HMTXSystem:
                     f"beginMTX({vid}) after VID {self.last_committed} committed")
             self.active_vids.add(vid)
         ctx = self.contexts[tid]
-        ctx.vid = vid
+        previous, ctx.vid = ctx.vid, vid
+        if self.observer is not None:
+            self.observer.begin(self, tid, vid, previous)
         return self.config.op_costs.mtx_instruction
 
     def init_mtx(self, tid: int, handler: Callable[..., Any]) -> int:
@@ -193,6 +205,8 @@ class HMTXSystem:
             self.committed_output.extend(context.release_output(vid))
         if ctx.vid == vid:
             ctx.vid = 0
+        if self.observer is not None:
+            self.observer.commit(self, tid, vid, latency)
         return latency
 
     def abort_mtx(self, tid: int, vid: int) -> int:
@@ -205,8 +219,11 @@ class HMTXSystem:
         from the last committed iteration).
         """
         self._abort(explicit=True, cause=AbortCause.EXPLICIT, vid=vid)
-        raise MisspeculationError(f"explicit abortMTX({vid})", vid=vid,
+        err = MisspeculationError(f"explicit abortMTX({vid})", vid=vid,
                                   cause=AbortCause.EXPLICIT)
+        if self.observer is not None:
+            self.observer.abort(self, "abort_mtx", err)
+        raise err
 
     # ------------------------------------------------------------------
     # Memory operations
@@ -217,6 +234,10 @@ class HMTXSystem:
         ctx = self.contexts[tid]
         vid = ctx.vid
         hierarchy = self.hierarchy
+        observer = self.observer
+        if observer is not None:
+            hstats = hierarchy.stats
+            overflows = hstats.spec_overflow_spills + hstats.overflow_retrievals
         try:
             if "load" in hierarchy.__dict__:
                 # Instrumented (e.g. a protocol tracer wraps the bound
@@ -234,6 +255,8 @@ class HMTXSystem:
             # evict a speculative version past the LLC (section 5.4).  The
             # abort must flush state here just like the store path.
             self._abort(explicit=False, cause=classify(exc), vid=exc.vid)
+            if observer is not None:
+                observer.abort(self, "load", exc, addr)
             raise
         if vid > 0:
             # The SLA (if one is needed) is sent when the load retires; it
@@ -249,6 +272,10 @@ class HMTXSystem:
             if result.sla_required:
                 tx.slas_sent += 1
                 stats.slas_sent += 1
+        if observer is not None:
+            observer.access(self, "load", tid, addr, vid, result.value, result,
+                            hstats.spec_overflow_spills
+                            + hstats.overflow_retrievals != overflows)
         return result
 
     def store(self, tid: int, addr: int, value: int,
@@ -257,6 +284,10 @@ class HMTXSystem:
         ctx = self.contexts[tid]
         vid = ctx.vid
         hierarchy = self.hierarchy
+        observer = self.observer
+        if observer is not None:
+            hstats = hierarchy.stats
+            overflows = hstats.spec_overflow_spills + hstats.overflow_retrievals
         try:
             if "store" in hierarchy.__dict__:
                 result = hierarchy.store(ctx.core, addr, vid, value, now=now)
@@ -275,6 +306,8 @@ class HMTXSystem:
                 self.stats.false_aborts_triggered += 1
                 exc.cause = AbortCause.WRONG_PATH
             self._abort(explicit=False, cause=classify(exc), vid=exc.vid)
+            if observer is not None:
+                observer.abort(self, "store", exc, addr)
             raise
         if vid > 0:
             stats = self.stats
@@ -286,6 +319,10 @@ class HMTXSystem:
             stats.spec_stores += 1
             if self.sla.enabled and self.sla.check_store(addr, vid):
                 self.stats.false_aborts_avoided += 1
+        if observer is not None:
+            observer.access(self, "store", tid, addr, vid, value, result,
+                            hstats.spec_overflow_spills
+                            + hstats.overflow_retrievals != overflows)
         return result
 
     def wrong_path_load(self, tid: int, addr: int) -> Tuple[int, int]:
@@ -320,14 +357,7 @@ class HMTXSystem:
         Handler PCs fall outside the registered text segment, so no VID is
         attached regardless of the thread's VID register.
         """
-        ctx = self.contexts[tid]
-        try:
-            return self.hierarchy.load(ctx.core, addr, 0)
-        except MisspeculationError as exc:
-            exc.cause = AbortCause.INTERRUPT
-            self._abort(explicit=False, cause=AbortCause.INTERRUPT,
-                        vid=exc.vid)
-            raise
+        return self._kernel_access("kernel_load", tid, addr, None)
 
     def kernel_store(self, tid: int, addr: int, value: int) -> AccessResult:
         """A store from interrupt/exception-handler code (section 5.2).
@@ -338,14 +368,35 @@ class HMTXSystem:
         ``INTERRUPT`` so the contention manager knows speculation lost to
         kernel activity, not to another transaction.
         """
-        ctx = self.contexts[tid]
+        return self._kernel_access("kernel_store", tid, addr, value)
+
+    def _kernel_access(self, op: str, tid: int, addr: int,
+                       value: Optional[int]) -> AccessResult:
+        """A VID-0 hierarchy access; a store when ``value`` is not None."""
+        core = self.contexts[tid].core
+        hierarchy = self.hierarchy
+        observer = self.observer
+        if observer is not None:
+            hstats = hierarchy.stats
+            overflows = hstats.spec_overflow_spills + hstats.overflow_retrievals
         try:
-            return self.hierarchy.store(ctx.core, addr, 0, value)
+            if value is None:
+                result = hierarchy.load(core, addr, 0)
+            else:
+                result = hierarchy.store(core, addr, 0, value)
         except MisspeculationError as exc:
             exc.cause = AbortCause.INTERRUPT
             self._abort(explicit=False, cause=AbortCause.INTERRUPT,
                         vid=exc.vid)
+            if observer is not None:
+                observer.abort(self, op, exc, addr)
             raise
+        if observer is not None:
+            observer.access(self, op, tid, addr, 0,
+                            result.value if value is None else value, result,
+                            hstats.spec_overflow_spills
+                            + hstats.overflow_retrievals != overflows)
+        return result
 
     def output(self, tid: int, value: Any) -> None:
         """Emit program output; buffered until commit inside an MTX (4.7)."""
@@ -378,3 +429,4 @@ class HMTXSystem:
     def recovery_handlers(self) -> Dict[int, Optional[Callable[..., Any]]]:
         """The per-thread recovery code registered via ``initMTX``."""
         return {tid: ctx.recovery_handler for tid, ctx in self.contexts.items()}
+

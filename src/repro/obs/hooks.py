@@ -42,7 +42,8 @@ def activate(session) -> Iterator[object]:
     """Install ``session`` as the active observer for the dynamic extent.
 
     Nesting is rejected rather than silently shadowed: a run observed by
-    two sessions would double-wrap every backend method.
+    two sessions would need two observers in each backend's one
+    ``observer`` slot.
     """
     global active
     if active is not None:

@@ -9,8 +9,8 @@ identical runs produce byte-identical output (the same determinism
 contract the sweep engine pins for reports).
 
 The registry is passive — it never hooks anything itself.  The
-:class:`~repro.obs.session.ObsSession` publishes into it from its method
-wraps, and end-of-run totals (SystemStats, HierarchyStats, txctl
+:class:`~repro.obs.session.ObsSession` publishes into it from the events
+its backend and scheduler report, and end-of-run totals (SystemStats, HierarchyStats, txctl
 ContentionStats) are snapshotted in at finalize time.
 """
 

@@ -1,19 +1,20 @@
-"""The live observer: wraps one run's backend, observes its scheduler.
+"""The live observer: the event sink of one run's backend and scheduler.
 
 An :class:`ObsSession` is installed via :func:`repro.obs.hooks.activate`;
 while active, :func:`~repro.runtime.paradigms.base.fresh_system` and
 :func:`~repro.runtime.paradigms.base.make_scheduler` hand it every system
-and scheduler they build.  Backend methods are instrumented with the
-repo's method-wrapping idiom (the ProtocolTracer/BackendTracer
-technique): original methods are stashed, ``functools.wraps``-preserving
-closures installed as instance attributes.  The scheduler is not
-wrapped: the session sets its ``observer`` slot, and
-:meth:`~repro.runtime.scheduler.Scheduler.run` calls :meth:`step`, sets
-:attr:`ObsSession.op_now` and calls :meth:`record_op` from inside its
-fused per-op loop (``stall_all``/``quiesce_all`` call :meth:`stall`/
-:meth:`quiesce`).  :meth:`detach` restores everything.  Unobserved runs
-never see any of this — the hook point and the observer slot are
-``None`` and the simulator executes its unmodified methods.
+and scheduler they build.  Nothing is wrapped.  The session sets each
+backend's ``observer`` slot, and the backend reports its accesses,
+begins, commits, aborts, VID allocations and resets from the place they
+happen (the :class:`~repro.backends.protocol.BackendObserver` events
+:meth:`access`, :meth:`begin`, :meth:`commit`, :meth:`abort`,
+:meth:`allocate`, :meth:`vid_reset`).  It sets each scheduler's
+``observer`` slot too, and :meth:`~repro.runtime.scheduler.Scheduler.run`
+calls :meth:`step`, sets :attr:`ObsSession.op_now` and calls
+:meth:`record_op` from inside its fused per-op loop (``stall_all``/
+``quiesce_all`` call :meth:`stall`/:meth:`quiesce`).  :meth:`detach`
+clears every slot.  Unobserved runs never see any of this — the hook
+point and the observer slots are ``None``.
 
 Recorded streams (all stamped in *simulated* cycles, ordered by one
 shared monotone ``seq``):
@@ -33,17 +34,16 @@ shared monotone ``seq``):
   footprint peaks) plus an end-of-run snapshot of SystemStats /
   HierarchyStats / ContentionStats totals.
 
-The wraps and scheduler callbacks are observation-only: they never change
-latencies, values, or the op stream, so an instrumented run is
-simulation-identical to an uninstrumented one (asserted by
-``tests/obs/test_noop_guard.py``).
+The event callbacks are observation-only: they never change latencies,
+values, or the op stream, so an instrumented run is simulation-identical
+to an uninstrumented one (asserted by ``tests/obs/test_noop_guard.py``).
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from ..backends.protocol import attach_observer, detach_observer
 from ..cpu.isa import Arrive
 from ..errors import MisspeculationError
 from ..txctl.causes import classify
@@ -109,7 +109,6 @@ class ObsSession:
         self._attempts: Dict[int, int] = {}
         self._systems: List[Any] = []
         self._schedulers: List[Any] = []
-        self._line_size = 64
         #: Machine topology of the attached system (None when flat).
         self.topology = None
         self._current_tid: Optional[int] = None
@@ -124,7 +123,6 @@ class ObsSession:
         #: semantics).
         self._svc_pending: Dict[int, Tuple[int, int]] = {}
         self._svc_hists = None
-        self._originals: List[Tuple[Any, str, Callable]] = []
         self._finalized = False
 
     # ------------------------------------------------------------------
@@ -136,10 +134,12 @@ class ObsSession:
         return hooks.activate(self)
 
     def detach(self) -> None:
-        """Restore every wrapped method (reverse order, stack-style)."""
-        for obj, name, original in reversed(self._originals):
-            setattr(obj, name, original)
-        self._originals.clear()
+        """Clear every observer slot this session set (idempotent)."""
+        for system in self._systems:
+            detach_observer(system, self)
+        for scheduler in self._schedulers:
+            if scheduler.observer is self:
+                scheduler.observer = None
 
     def finalize(self, result=None) -> None:
         """Freeze end-of-run state: thread map, makespan, stats snapshot."""
@@ -174,24 +174,27 @@ class ObsSession:
     # ------------------------------------------------------------------
 
     def attach_system(self, system) -> None:
+        attach_observer(system, self)
         self._systems.append(system)
-        stats = getattr(system, "stats", None)
-        self._line_size = getattr(stats, "line_size", 64)
         config = getattr(system, "config", None)
         if config is not None:
             self.topology = getattr(config, "topology", None)
-        for name in ("load", "store", "kernel_load", "kernel_store"):
-            if hasattr(system, name):
-                self._wrap_access(system, name)
-        self._wrap_begin(system)
-        self._wrap_commit(system)
-        self._wrap_abort(system)
-        self._wrap_allocate(system)
-        self._wrap_vid_reset(system)
+        registry = self.registry
+        self._access_counters = {
+            op: registry.counter("mem_accesses_total",
+                                 kind="store" if op.endswith("store")
+                                 else "load",
+                                 space="kernel" if op.startswith("kernel")
+                                 else "user")
+            for op in ("load", "store", "kernel_load", "kernel_store")}
+        self._footprint_peak = registry.gauge("spec_footprint_bytes_peak")
+        self._commits = registry.counter("tx_commits_total")
+        self._commit_latency = registry.histogram("commit_latency_cycles")
+        self._resets = registry.counter("vid_resets_total")
 
     def attach_scheduler(self, scheduler) -> None:
         self._schedulers.append(scheduler)
-        self._install(scheduler, "observer", self)
+        scheduler.observer = self
         self._stall_counter = self.registry.counter(
             "backoff_stall_cycles_total")
         self._quiesce_counter = self.registry.counter(
@@ -291,20 +294,73 @@ class ObsSession:
         self.spans.append(span)
         self.live_vid_track.append((ts, len(self._open_spans)))
 
-    def _on_misspeculation(self, err: MisspeculationError, addr=None,
-                           op: str = "") -> None:
-        """Record conflict + abort once per exception, however many wrapped
-        frames it unwinds through."""
-        if getattr(err, "_obs_seen", False):
+    # ------------------------------------------------------------------
+    # Backend events (made while ``system.observer`` is this)
+    # ------------------------------------------------------------------
+
+    def access(self, system, op: str, tid: int, addr: int, vid: int,
+               value: int, result, overflowed: bool = False) -> None:
+        """A memory access completed: count it, charge it to its span."""
+        line_size = system.stats.line_size
+        line = addr - (addr % line_size)
+        counts = self.line_access_counts
+        counts[line] = counts.get(line, 0) + 1
+        self._access_counters[op].inc()
+        if vid:
+            span = self._open_spans.get(vid)
+            if span is not None:
+                if op == "store":
+                    span.stores += 1
+                else:
+                    span.loads += 1
+        if overflowed and self.op_now is not None:
+            self._op_overflow = True
+        if result.created_version:
+            footprint = system.hierarchy.speculative_footprint_bytes()
+            self._footprint_peak.set_max(footprint)
+            self.footprint_track.append((self._now(), footprint))
+
+    def begin(self, system, tid: int, vid: int, previous: int) -> None:
+        """``beginMTX``: VID 0 ends the previous span's execution."""
+        ts = self._now()
+        if vid == 0:
+            if previous:
+                span = self._open_spans.get(previous)
+                if span is not None and span.exec_end_ts is None:
+                    span.exec_end_ts = ts
             return
-        err._obs_seen = True
+        span = self._open_spans.get(vid)
+        if span is None:
+            span = self._open_span(vid, ts, begin_ts=ts)
+        elif span.begin_ts is None:
+            span.begin_ts = ts
+            span.tid = tid
+        self._event("begin", ts=ts, tid=tid, vid=vid)
+
+    def commit(self, system, tid: int, vid: int, latency: int) -> None:
+        ts = self._now()
+        self._event("commit", ts=ts, tid=tid, vid=vid)
+        self._commits.inc()
+        if isinstance(latency, int):
+            self._commit_latency.observe(latency)
+        pending = self._svc_pending.pop(vid, None)
+        if pending is not None:
+            arrival_ts, queue_wait = pending
+            queue_hist, sojourn_hist = self._svc_histograms()
+            queue_hist.observe(queue_wait)
+            sojourn_hist.observe(max(0, ts - arrival_ts))
+        self._close_span(vid, ts, "commit")
+
+    def abort(self, system, op: str, err: MisspeculationError,
+              addr: Optional[int] = None) -> None:
+        """Record the conflict and the abort; close every open span."""
         cause = classify(err).value
         ts = self._now()
-        bad_addr = getattr(err, "addr", -1)
+        bad_addr = err.addr
         if bad_addr in (None, -1):
             bad_addr = addr
         if bad_addr is not None:
-            line = bad_addr - (bad_addr % self._line_size)
+            line = bad_addr - (bad_addr % system.stats.line_size)
             self.line_conflict_counts[line] = \
                 self.line_conflict_counts.get(line, 0) + 1
         self._event("conflict", ts=ts, vid=err.vid, addr=bad_addr,
@@ -317,164 +373,14 @@ class ObsSession:
             else:
                 self._close_span(vid, ts, "squashed")
 
-    # ------------------------------------------------------------------
-    # System wraps
-    # ------------------------------------------------------------------
+    def allocate(self, system, vid: int) -> None:
+        ts = self._now()
+        self._open_span(vid, ts)
+        self._event("allocate", ts=ts, vid=vid, tid=self._current_tid)
 
-    def _install(self, obj, name: str, wrapped: Callable) -> None:
-        self._originals.append((obj, name, getattr(obj, name)))
-        setattr(obj, name, wrapped)
-
-    def _wrap_access(self, system, name: str) -> None:
-        original = getattr(system, name)
-        session = self
-        kernel = name.startswith("kernel")
-        is_store = name.endswith("store")
-        hierarchy = getattr(system, "hierarchy", None)
-        hstats = getattr(hierarchy, "stats", None)
-        track_overflow = hasattr(hstats, "spec_overflow_spills")
-        track_footprint = hasattr(hierarchy, "speculative_footprint_bytes")
-        line_size = self._line_size
-        kind = "store" if is_store else "load"
-        space = "kernel" if kernel else "user"
-        access_counter = self.registry.counter(
-            "mem_accesses_total", kind=kind, space=space)
-        footprint_peak = self.registry.gauge("spec_footprint_bytes_peak")
-
-        @functools.wraps(original)
-        def wrapped(tid, addr, *args, **kwargs):
-            if track_overflow:
-                overflow_before = (hstats.spec_overflow_spills
-                                   + hstats.overflow_retrievals)
-            try:
-                result = original(tid, addr, *args, **kwargs)
-            except MisspeculationError as err:
-                session._on_misspeculation(err, addr=addr, op=name)
-                raise
-            line = addr - (addr % line_size)
-            counts = session.line_access_counts
-            counts[line] = counts.get(line, 0) + 1
-            access_counter.inc()
-            if not kernel:
-                ctx = system.contexts.get(tid)
-                vid = ctx.vid if ctx is not None else 0
-                if vid:
-                    span = session._open_spans.get(vid)
-                    if span is not None:
-                        if is_store:
-                            span.stores += 1
-                        else:
-                            span.loads += 1
-            if track_overflow and session.op_now is not None and (
-                    hstats.spec_overflow_spills
-                    + hstats.overflow_retrievals) != overflow_before:
-                session._op_overflow = True
-            if track_footprint and getattr(result, "created_version", False):
-                footprint = hierarchy.speculative_footprint_bytes()
-                footprint_peak.set_max(footprint)
-                session.footprint_track.append((session._now(), footprint))
-            return result
-
-        self._install(system, name, wrapped)
-
-    def _wrap_begin(self, system) -> None:
-        original = system.begin_mtx
-        session = self
-
-        @functools.wraps(original)
-        def wrapped(tid, vid, *args, **kwargs):
-            ctx = system.contexts.get(tid)
-            previous = ctx.vid if ctx is not None else 0
-            latency = original(tid, vid, *args, **kwargs)
-            ts = session._now()
-            if vid == 0:
-                if previous:
-                    span = session._open_spans.get(previous)
-                    if span is not None and span.exec_end_ts is None:
-                        span.exec_end_ts = ts
-            else:
-                span = session._open_spans.get(vid)
-                if span is None:
-                    span = session._open_span(vid, ts, begin_ts=ts)
-                elif span.begin_ts is None:
-                    span.begin_ts = ts
-                    span.tid = tid
-                session._event("begin", ts=ts, tid=tid, vid=vid)
-            return latency
-
-        self._install(system, "begin_mtx", wrapped)
-
-    def _wrap_commit(self, system) -> None:
-        original = system.commit_mtx
-        session = self
-        commits = self.registry.counter("tx_commits_total")
-        latency_hist = self.registry.histogram("commit_latency_cycles")
-
-        @functools.wraps(original)
-        def wrapped(tid, vid, *args, **kwargs):
-            try:
-                latency = original(tid, vid, *args, **kwargs)
-            except MisspeculationError as err:
-                session._on_misspeculation(err, op="commit_mtx")
-                raise
-            ts = session._now()
-            session._event("commit", ts=ts, tid=tid, vid=vid)
-            commits.inc()
-            if isinstance(latency, int):
-                latency_hist.observe(latency)
-            pending = session._svc_pending.pop(vid, None)
-            if pending is not None:
-                arrival_ts, queue_wait = pending
-                queue_hist, sojourn_hist = session._svc_histograms()
-                queue_hist.observe(queue_wait)
-                sojourn_hist.observe(max(0, ts - arrival_ts))
-            session._close_span(vid, ts, "commit")
-            return latency
-
-        self._install(system, "commit_mtx", wrapped)
-
-    def _wrap_abort(self, system) -> None:
-        original = system.abort_mtx
-        session = self
-
-        @functools.wraps(original)
-        def wrapped(tid, vid, *args, **kwargs):
-            try:
-                return original(tid, vid, *args, **kwargs)
-            except MisspeculationError as err:
-                session._on_misspeculation(err, op="abort_mtx")
-                raise
-
-        self._install(system, "abort_mtx", wrapped)
-
-    def _wrap_allocate(self, system) -> None:
-        original = system.allocate_vid
-        session = self
-
-        @functools.wraps(original)
-        def wrapped(*args, **kwargs):
-            vid = original(*args, **kwargs)
-            ts = session._now()
-            session._open_span(vid, ts)
-            session._event("allocate", ts=ts, vid=vid,
-                           tid=session._current_tid)
-            return vid
-
-        self._install(system, "allocate_vid", wrapped)
-
-    def _wrap_vid_reset(self, system) -> None:
-        original = system.vid_reset
-        session = self
-        resets = self.registry.counter("vid_resets_total")
-
-        @functools.wraps(original)
-        def wrapped(*args, **kwargs):
-            result = original(*args, **kwargs)
-            session._event("vid_reset")
-            resets.inc()
-            return result
-
-        self._install(system, "vid_reset", wrapped)
+    def vid_reset(self, system) -> None:
+        self._event("vid_reset")
+        self._resets.inc()
 
     # ------------------------------------------------------------------
     # Scheduler callbacks (made while ``scheduler.observer`` is this)
@@ -610,8 +516,8 @@ class ObsSession:
 
         The acceptance contract: per-VID commit spans and abort-cause
         counters must match the system's own accounting *exactly* — the
-        session wraps sit outside the backend, so every commit and every
-        classified abort passes through them exactly once.
+        backend reports every commit and every classified abort to its
+        observer exactly once, next to the statistics update it mirrors.
         """
         commits_observed = sum(1 for s in self.all_spans()
                                if s.outcome == "commit")

@@ -6,7 +6,7 @@ stamped in simulated cycles: allocate (``allocateVID``) → begin
 (``beginMTX(0)``) → outcome (group commit, abort, or squash — an abort of
 a *different* VID flushes this one too, the paper's all-or-nothing flush).
 The :class:`~repro.obs.session.ObsSession` opens and closes spans as the
-wrapped backend methods fire; this module turns the finished session plus
+backend reports its lifecycle events; this module turns the finished session plus
 a cycle :class:`~repro.obs.profile.Attribution` into a render-ready
 :class:`Timeline` (per-thread category slices, counter tracks) consumed
 by both the Chrome exporter and the terminal Gantt view in

@@ -208,8 +208,8 @@ class Scheduler:
         # they are fused below (exactly what CoreExecutor.execute does for
         # each class, without the dispatch) when the executor is a plain
         # CoreExecutor.  system.load/store are hoisted through the
-        # instance, so an observability wrapper installed before the run
-        # is still honoured.  An attached observer is told inside each
+        # instance, so a wrapper installed before the run (a benchmark
+        # tracer's) is still honoured.  An attached observer is told inside each
         # branch (the step, the op's start time, its sample), so observed
         # runs keep the fused loop; unobserved runs pay one ``is not
         # None`` test per step and per op.

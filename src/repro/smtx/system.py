@@ -20,7 +20,6 @@ but the implementation is a software TM:
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from ..coherence.hierarchy import AccessResult, MemoryHierarchy
@@ -71,7 +70,68 @@ class _MemoryFacade:
         return AccessResult(value, latency, True, "smtx")
 
 
-class SMTXSystem:
+class BufferedTM:
+    """What the two buffer-based backends share (SMTX and the oracle).
+
+    Both keep speculative values in per-VID :class:`SmtxMemory` buffers
+    over a timing-only commodity hierarchy (``self.timing``), so thread
+    registration, kernel accesses, output buffering and forwarded reads
+    are the same code.  Subclasses set ``contexts``, ``memory``,
+    ``timing``, ``committed_output`` and ``observer``.
+    """
+
+    #: ``AccessResult.served_by`` of this backend's accesses.
+    access_label = "smtx"
+
+    def thread(self, tid: int, core: int) -> ThreadContext:
+        if tid not in self.contexts:
+            self.contexts[tid] = ThreadContext(tid=tid, core=core)
+        return self.contexts[tid]
+
+    def ready_for_vid_reset(self) -> bool:
+        """Software VIDs are unbounded: the 4.6 reset never triggers."""
+        return False
+
+    def kernel_load(self, tid: int, addr: int) -> AccessResult:
+        ctx = self.contexts[tid]
+        latency = self.timing.load(ctx.core, addr, 0).latency
+        value = self.memory.read(0, addr)
+        result = AccessResult(value, latency, True, self.access_label)
+        if self.observer is not None:
+            self.observer.access(self, "kernel_load", tid, addr, 0, value,
+                                 result)
+        return result
+
+    def kernel_store(self, tid: int, addr: int, value: int) -> AccessResult:
+        ctx = self.contexts[tid]
+        latency = self.timing.store(ctx.core, addr, 0, 0).latency
+        self.memory.write(0, addr, value)
+        result = AccessResult(value, latency, True, self.access_label)
+        if self.observer is not None:
+            self.observer.access(self, "kernel_store", tid, addr, 0, value,
+                                 result)
+        return result
+
+    def output(self, tid: int, value: Any) -> None:
+        ctx = self.contexts[tid]
+        if ctx.vid > 0:
+            ctx.buffer_output(value)
+        else:
+            self.committed_output.append(value)
+
+    def _read_with_source(self, vid: int, addr: int) -> Tuple[int, int]:
+        """Read with uncommitted value forwarding; also report which VID's
+        buffer supplied the value (0 = committed state)."""
+        word = addr - (addr % self.memory.backing.word_size)
+        if vid > 0:
+            for buffer_vid in sorted(self.memory.live_vids(), reverse=True):
+                if buffer_vid <= vid and \
+                        word in self.memory._buffers[buffer_vid]:
+                    return self.memory._buffers[buffer_vid][word], buffer_vid
+        return self.memory.backing.read_word(word), 0
+
+
+class SMTXSystem(BufferedTM):
     """A commodity multicore running the SMTX software runtime.
 
     Parameters
@@ -111,23 +171,20 @@ class SMTXSystem:
         #: Sequential work accumulated on the commit process's core.
         self.commit_process_cycles = 0
         self.forwarded_words = 0
+        #: The attached backend observer, or None (see
+        #: :attr:`repro.core.system.HMTXSystem.observer`).
+        self.observer = None
 
     # ------------------------------------------------------------------
     # HMTXSystem-shaped surface used by the scheduler/paradigms
     # ------------------------------------------------------------------
 
-    def thread(self, tid: int, core: int) -> ThreadContext:
-        if tid not in self.contexts:
-            self.contexts[tid] = ThreadContext(tid=tid, core=core)
-        return self.contexts[tid]
-
     def allocate_vid(self) -> int:
         vid = self.vid_space.allocate()
         self.active_vids.add(vid)
+        if self.observer is not None:
+            self.observer.allocate(self, vid)
         return vid
-
-    def ready_for_vid_reset(self) -> bool:
-        return False
 
     def vid_reset(self) -> int:
         raise TransactionUsageError("SMTX VIDs are unbounded; no reset exists")
@@ -138,7 +195,10 @@ class SMTXSystem:
                 raise TransactionUsageError(
                     f"beginMTX({vid}) after VID {self.last_committed} committed")
             self.active_vids.add(vid)
-        self.contexts[tid].vid = vid
+        ctx = self.contexts[tid]
+        previous, ctx.vid = ctx.vid, vid
+        if self.observer is not None:
+            self.observer.begin(self, tid, vid, previous)
         # Entering/leaving a software transaction is a library call.
         return self.costs.instrument_read
 
@@ -164,10 +224,13 @@ class SMTXSystem:
             # same txctl cause HMTX conflicts carry, so the contention
             # manager (and the conformance suite) sees one taxonomy.
             self._abort(cause=AbortCause.CONFLICT, vid=vid)
-            raise MisspeculationError(
+            err = MisspeculationError(
                 f"SMTX validation failed: VID {vid} read 0x{violation.addr:x} "
                 f"= {violation.value_seen}, committed value differs",
                 vid=vid, addr=violation.addr, cause=AbortCause.CONFLICT)
+            if self.observer is not None:
+                self.observer.abort(self, "commit_mtx", err)
+            raise err
         self.memory.commit(vid)
         self.log.pop(vid)
         self.active_vids.discard(vid)
@@ -178,12 +241,17 @@ class SMTXSystem:
             self.committed_output.extend(context.release_output(vid))
         if ctx.vid == vid:
             ctx.vid = 0
+        if self.observer is not None:
+            self.observer.commit(self, tid, vid, self.costs.commit_finalize)
         return self.costs.commit_finalize
 
     def abort_mtx(self, tid: int, vid: int) -> int:
         self._abort(explicit=True, cause=AbortCause.EXPLICIT, vid=vid)
-        raise MisspeculationError("explicit abortMTX", vid=vid,
+        err = MisspeculationError("explicit abortMTX", vid=vid,
                                   cause=AbortCause.EXPLICIT)
+        if self.observer is not None:
+            self.observer.abort(self, "abort_mtx", err)
+        raise err
 
     # ------------------------------------------------------------------
     # Memory operations
@@ -206,8 +274,13 @@ class SMTXSystem:
                 latency += self.costs.log_entry
                 sla = True  # reused field: "this access was logged"
             self.stats.record_load(vid, addr, sla_sent=False)
-            return AccessResult(value, latency, True, "smtx", sla_required=sla)
-        return AccessResult(value, latency, True, "smtx")
+            result = AccessResult(value, latency, True, "smtx",
+                                  sla_required=sla)
+        else:
+            result = AccessResult(value, latency, True, "smtx")
+        if self.observer is not None:
+            self.observer.access(self, "load", tid, addr, vid, value, result)
+        return result
 
     def store(self, tid: int, addr: int, value: int,
               now: int = 0) -> AccessResult:
@@ -221,7 +294,10 @@ class SMTXSystem:
                 self.log.log_write(vid, addr, value)
                 latency += self.costs.log_entry
             self.stats.record_store(vid, addr)
-        return AccessResult(value, latency, True, "smtx")
+        result = AccessResult(value, latency, True, "smtx")
+        if self.observer is not None:
+            self.observer.access(self, "store", tid, addr, vid, value, result)
+        return result
 
     def wrong_path_load(self, tid: int, addr: int) -> Tuple[int, int]:
         """Squashed loads are invisible to a software TM (no logging)."""
@@ -229,36 +305,6 @@ class SMTXSystem:
         value = self.memory.read(ctx.vid, addr)
         _, latency = self.timing.peek(ctx.core, addr, 0)
         return value, latency
-
-    def kernel_load(self, tid: int, addr: int) -> AccessResult:
-        ctx = self.contexts[tid]
-        latency = self.timing.load(ctx.core, addr, 0).latency
-        return AccessResult(self.memory.read(0, addr), latency, True, "smtx")
-
-    def kernel_store(self, tid: int, addr: int, value: int) -> AccessResult:
-        ctx = self.contexts[tid]
-        latency = self.timing.store(ctx.core, addr, 0, 0).latency
-        self.memory.write(0, addr, value)
-        return AccessResult(value, latency, True, "smtx")
-
-    def output(self, tid: int, value: Any) -> None:
-        ctx = self.contexts[tid]
-        if ctx.vid > 0:
-            ctx.buffer_output(value)
-        else:
-            self.committed_output.append(value)
-
-    # ------------------------------------------------------------------
-
-    def _read_with_source(self, vid: int, addr: int) -> Tuple[int, int]:
-        """Read and report which VID's buffer supplied the value (0 = committed)."""
-        word = addr - (addr % self.memory.backing.word_size)
-        if vid > 0:
-            for buffer_vid in sorted(self.memory.live_vids(), reverse=True):
-                if buffer_vid <= vid and \
-                        word in self.memory._buffers[buffer_vid]:
-                    return self.memory._buffers[buffer_vid][word], buffer_vid
-        return self.memory.backing.read_word(word), 0
 
     def _abort(self, explicit: bool = False,
                cause: Optional[AbortCause] = None, vid: int = 0) -> None:

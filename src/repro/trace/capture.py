@@ -8,11 +8,11 @@ which VID loaded/stored which value at which address, and when commits,
 aborts and VID resets happened — for **every** registered backend, so it
 can replay MTX semantics against any TM implementation.
 
-:class:`BackendTracer` wraps the executor-facing surface of a
-:class:`~repro.backends.TMBackend` (``load``/``store``/``kernel_load``/
-``kernel_store``/``commit_mtx``/``abort_mtx``/``vid_reset``) with the same
-method-wrapping technique as the protocol tracer: untraced runs pay
-nothing, and the recorded stream reuses :class:`TraceEvent` so all of the
+:class:`BackendTracer` is a :class:`~repro.backends.BackendObserver`: it
+occupies a :class:`~repro.backends.TMBackend`'s ``observer`` slot and
+turns the accesses, commits, aborts and VID resets the backend reports
+into events.  Untraced runs pay one ``is not None`` test per event site,
+and the recorded stream reuses :class:`TraceEvent` so all of the
 existing formatting/query tooling applies.
 
 Event kinds produced:
@@ -48,10 +48,10 @@ the race detector reports any truncated trace as a hard finding (rule
 
 from __future__ import annotations
 
-import functools
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
+from ..backends.protocol import attach_observer, detach_observer
 from ..errors import MisspeculationError
 from .events import TraceEvent
 
@@ -67,9 +67,6 @@ class BackendTracer:
         tracer.detach()
     """
 
-    #: Methods returning an AccessResult, wrapped as value-carrying events.
-    _ACCESS_METHODS = ("load", "store", "kernel_load", "kernel_store")
-
     def __init__(self, system, capacity: int = 1_000_000) -> None:
         self.system = system
         self.capacity = capacity
@@ -79,7 +76,6 @@ class BackendTracer:
         self.events: Deque[TraceEvent] = deque()
         self.dropped = 0
         self._seq = 0
-        self._originals: Dict[str, Callable] = {}
 
     @property
     def dropped_events(self) -> int:
@@ -91,15 +87,12 @@ class BackendTracer:
     @classmethod
     def attach(cls, system) -> "BackendTracer":
         tracer = cls(system)
-        tracer._wrap_all()
+        attach_observer(system, tracer)
         return tracer
 
     def detach(self) -> None:
-        """Restore the system's unwrapped methods (reverse wrap order, so
-        stacked wrappers peel off like a stack)."""
-        for name in reversed(list(self._originals)):
-            setattr(self.system, name, self._originals[name])
-        self._originals.clear()
+        """Clear the system's observer slot (idempotent)."""
+        detach_observer(self.system, self)
 
     # ------------------------------------------------------------------
 
@@ -113,100 +106,45 @@ class BackendTracer:
         self.events.append(TraceEvent(self._seq, kind, core, vid, addr,
                                       detail, value))
 
-    def _context_vid(self, tid: int) -> int:
-        ctx = self.system.contexts.get(tid)
-        return ctx.vid if ctx is not None else 0
+    # ------------------------------------------------------------------
+    # Backend events
+    # ------------------------------------------------------------------
 
-    def _wrap_all(self) -> None:
-        for name in self._ACCESS_METHODS:
-            self._wrap_access(name)
-        self._wrap_commit()
-        self._wrap_abort_mtx()
-        self._wrap_vid_reset()
+    def access(self, system, op: str, tid: int, addr: int, vid: int,
+               value: int, result, overflowed: bool = False) -> None:
+        self.record("store" if op.endswith("store") else "load", vid=vid,
+                    addr=addr, value=value,
+                    detail="kernel" if op.startswith("kernel") else "")
 
-    def _wrap_access(self, name: str) -> None:
-        original = getattr(self.system, name)
-        self._originals[name] = original
-        tracer = self
-        kind = "store" if name.endswith("store") else "load"
-        is_store = kind == "store"
-        # Kernel accesses always run at VID 0 regardless of the thread's
-        # VID register (section 5.2).
-        kernel = name.startswith("kernel")
+    def abort(self, system, op: str, err: MisspeculationError,
+              addr: Optional[int] = None) -> None:
+        if op == "abort_mtx":
+            self.record("abort", vid=err.vid,
+                        detail=f"explicit abortMTX({err.vid})")
+        elif op == "commit_mtx":
+            # SMTX-style commit-time validation failure: the abort
+            # already flushed all uncommitted state.
+            self.record("misspeculation", vid=err.vid, addr=err.addr,
+                        detail=err.reason)
+            self.record("abort", detail="uncommitted state flushed "
+                                        "(commit validation failed)")
+        else:
+            self.record("misspeculation", vid=err.vid, addr=addr,
+                        detail=err.reason)
+            self.record("abort", detail="uncommitted state flushed "
+                                        f"({op} misspeculated)")
 
-        @functools.wraps(original)
-        def wrapped(tid, addr, *args, **kwargs):
-            vid = 0 if kernel else tracer._context_vid(tid)
-            try:
-                result = original(tid, addr, *args, **kwargs)
-            except MisspeculationError as err:
-                tracer.record("misspeculation", vid=err.vid, addr=addr,
-                              detail=err.reason)
-                tracer.record("abort",
-                              detail="uncommitted state flushed "
-                                     f"({name} misspeculated)")
-                raise
-            value = args[0] if is_store and args \
-                else kwargs.get("value", result.value) if is_store \
-                else result.value
-            tracer.record(kind, vid=vid, addr=addr, value=value,
-                          detail="kernel" if kernel else "")
-            return result
+    def commit(self, system, tid: int, vid: int, latency: int) -> None:
+        self.record("commit", vid=vid, detail=f"VID {vid}")
 
-        setattr(self.system, name, wrapped)
+    def vid_reset(self, system) -> None:
+        self.record("vid_reset", detail="VID namespace recycled")
 
-    def _wrap_commit(self) -> None:
-        original = self.system.commit_mtx
-        self._originals["commit_mtx"] = original
-        tracer = self
+    def begin(self, system, tid: int, vid: int, previous: int) -> None:
+        """Not traced: the VID an access carries already says it."""
 
-        @functools.wraps(original)
-        def wrapped(tid, vid, *args, **kwargs):
-            try:
-                result = original(tid, vid, *args, **kwargs)
-            except MisspeculationError as err:
-                # SMTX-style commit-time validation failure: the abort
-                # already flushed all uncommitted state.
-                tracer.record("misspeculation", vid=vid,
-                              addr=getattr(err, "addr", None),
-                              detail=err.reason)
-                tracer.record("abort",
-                              detail="uncommitted state flushed "
-                                     "(commit validation failed)")
-                raise
-            tracer.record("commit", vid=vid, detail=f"VID {vid}")
-            return result
-
-        setattr(self.system, "commit_mtx", wrapped)
-
-    def _wrap_abort_mtx(self) -> None:
-        original = self.system.abort_mtx
-        self._originals["abort_mtx"] = original
-        tracer = self
-
-        @functools.wraps(original)
-        def wrapped(tid, vid, *args, **kwargs):
-            try:
-                return original(tid, vid, *args, **kwargs)
-            except MisspeculationError:
-                tracer.record("abort", vid=vid,
-                              detail=f"explicit abortMTX({vid})")
-                raise
-
-        setattr(self.system, "abort_mtx", wrapped)
-
-    def _wrap_vid_reset(self) -> None:
-        original = self.system.vid_reset
-        self._originals["vid_reset"] = original
-        tracer = self
-
-        @functools.wraps(original)
-        def wrapped(*args, **kwargs):
-            result = original(*args, **kwargs)
-            tracer.record("vid_reset", detail="VID namespace recycled")
-            return result
-
-        setattr(self.system, "vid_reset", wrapped)
+    def allocate(self, system, vid: int) -> None:
+        """Not traced: a VID matters once an access or commit uses it."""
 
     # ------------------------------------------------------------------
 

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.coherence.cache import VersionedCache
+from repro.coherence.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.coherence.memory import MainMemory
 from repro.core import MachineConfig, SystemStats, ThreadContext, table2_config
 from repro.core.config import small_test_config
+from repro.topology import TopologySpec
 
 
 class TestTable2Config:
@@ -48,6 +52,64 @@ class TestTable2Config:
     def test_small_test_config(self):
         cfg = small_test_config()
         assert cfg.l1_size < table2_config().l1_size
+
+
+class TestGeometryValidation:
+    """Bad cache geometry fails when the config is built, naming the field."""
+
+    @pytest.mark.parametrize("overrides,field", [
+        (dict(line_size=60), "line_size"),
+        (dict(line_size=96), "line_size"),
+        (dict(line_size=0), "line_size"),
+        (dict(l1_size=1000), "l1_size"),
+        (dict(l1_assoc=3), "l1_size"),
+        (dict(l1_assoc=0), "l1_assoc"),
+        (dict(l2_size=32 * 1024 * 1024 + 64), "l2_size"),
+        (dict(l2_assoc=3), "l2_size"),
+        (dict(l2_assoc=0), "l2_assoc"),
+        (dict(line_size=128, l1_size=64 * 8 * 3), "l1_size"),
+    ])
+    def test_bad_geometry_rejected_at_construction(self, overrides, field):
+        with pytest.raises(ValueError, match=field):
+            MachineConfig(**overrides)
+
+    def test_bad_llc_slice_rejected_at_construction(self):
+        spec = TopologySpec(sockets=2, cores_per_socket=2,
+                            llc_slice_size=1000)
+        with pytest.raises(ValueError, match="topology.llc_slice_size"):
+            MachineConfig.for_topology(spec)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(),
+        dict(line_size=32),
+        dict(line_size=128),
+        # 3 MB / (16 ways * 64 B) = 3072 sets: not a power of two, fine.
+        dict(l2_size=3 * 1024 * 1024, l2_assoc=16),
+    ])
+    def test_good_geometry_builds(self, overrides):
+        MachineConfig(**overrides).build_hierarchy()
+
+    def test_non_power_of_two_set_count_indexes_by_modulo(self):
+        cache = VersionedCache("L2", size=3 * 1024 * 1024, assoc=16)
+        assert cache.num_sets == 3072
+        assert cache.set_index(3072 * 64 + 5 * 64 + 7) == 5
+
+    @pytest.mark.parametrize("line_size", [48, 60, 96, 0])
+    def test_cache_rejects_non_power_of_two_line(self, line_size):
+        with pytest.raises(ValueError, match="line_size"):
+            VersionedCache("L1[0]", size=4 * 4 * 96, assoc=4,
+                           line_size=line_size)
+
+    def test_hierarchy_config_users_are_covered(self):
+        with pytest.raises(ValueError, match="line_size"):
+            MemoryHierarchy(HierarchyConfig(l1_size=8 * 96, l1_assoc=1,
+                                            l2_size=64 * 96, l2_assoc=1,
+                                            line_size=96))
+
+    @pytest.mark.parametrize("word_size", [3, 6, 0])
+    def test_memory_rejects_non_power_of_two_word(self, word_size):
+        with pytest.raises(ValueError, match="word_size"):
+            MainMemory(line_size=48, word_size=word_size)
 
 
 class TestThreadContext:

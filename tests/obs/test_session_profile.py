@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.backends import PROTOCOL_METHODS, backend_names
 from repro.experiments.engine import RunRequest, SweepEngine, execute_request
 from repro.obs import hooks
 from repro.obs.profile import Attribution, attribute, digest, hot_lines
@@ -15,6 +16,7 @@ from repro.runtime.paradigms import (
     run_workload,
     wait_commit_turn,
 )
+from repro.trace import BackendTracer
 from repro.txctl import ContentionManager, make_policy
 from repro.workloads import make_benchmark
 from repro.workloads.contended import HighContentionListWorkload
@@ -240,17 +242,34 @@ class TestHookPoint:
                     pass  # pragma: no cover
         assert hooks.active is None
 
-    def test_detach_restores_originals(self):
+    @pytest.mark.parametrize("backend", sorted(backend_names()))
+    def test_detach_clears_every_backend_observer(self, backend):
         workload = HighContentionListWorkload(nodes=8,
                                               rmw_per_iteration=1)
         session = ObsSession()
         with session.activate():
-            result = run_ps_dswp(workload)
-        session.detach()
+            result = run_workload(workload, backend=backend)
         system = result.system
-        # The wrappers carry ``__wrapped__`` (functools.wraps); after
-        # detach the restored originals must not.
-        for name in ("load", "store", "begin_mtx", "commit_mtx",
-                     "allocate_vid", "abort_mtx", "vid_reset"):
-            assert not hasattr(getattr(system, name), "__wrapped__"), name
+        assert system.observer is session
+        # Nothing is wrapped: every backend method is the class's own.
+        assert not set(vars(system)) & set(PROTOCOL_METHODS)
+        session.detach()
+        assert system.observer is None
         session.detach()  # idempotent
+        assert system.observer is None
+
+    def test_second_observer_rejected(self):
+        session = ObsSession()
+        with session.activate():
+            result = run_workload(
+                HighContentionListWorkload(nodes=8, rmw_per_iteration=1))
+        with pytest.raises(RuntimeError, match="already observed"):
+            BackendTracer.attach(result.system)
+        with pytest.raises(RuntimeError, match="already observed"):
+            session.attach_system(result.system)
+        assert result.system.observer is session
+        assert session._systems == [result.system]
+        session.detach()
+        tracer = BackendTracer.attach(result.system)
+        assert result.system.observer is tracer
+        tracer.detach()
