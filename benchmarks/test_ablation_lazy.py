@@ -33,9 +33,10 @@ def _commit_eager(system, vid):
     latency = system.commit_mtx(0, vid)
     walked = 0
     for cache in system.hierarchy.l1s + [system.hierarchy.l2]:
-        for line in list(cache.all_lines()):
-            cache.process_lazy(line)
-            walked += 1
+        for slots in list(cache._sets.values()):
+            for slot in list(slots):
+                cache._process_lazy_slot(slot)
+                walked += 1
     return latency + walked  # one cycle per explicitly processed line
 
 

@@ -87,12 +87,16 @@ def _prefetch(runner: BenchmarkRunner, names) -> None:
         runner.prefetch(requests)
 
 
+#: Systems ``run --system`` accepts (and ``list`` advertises).
+RUN_SYSTEMS = ("sequential", "hmtx", "smtx-minimal", "smtx-substantial",
+               "smtx-maximal", "oracle")
+
+
 def _cmd_list(_args) -> int:
     print("artifacts :", ", ".join(sorted(_ARTIFACTS)),
           "+ evaluate / all (everything)")
     print("benchmarks:", ", ".join(BENCHMARK_NAMES))
-    print("systems   : sequential, hmtx, smtx-minimal, smtx-substantial,"
-          " smtx-maximal, oracle")
+    print("systems   :", ", ".join(RUN_SYSTEMS))
     return 0
 
 
@@ -200,6 +204,9 @@ def _cmd_run(args) -> int:
             if "-" in args.system else ValidationMode.MINIMAL
         result = run_smtx(workload, mode=mode,
                           executor_factory=executor_factory)
+    elif args.system == "oracle":
+        result = run_workload(workload, backend="oracle",
+                              executor_factory=executor_factory)
     else:
         print(f"unknown system {args.system!r}", file=sys.stderr)
         return 2
@@ -282,9 +289,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("run", help="run one benchmark under one system")
     p.add_argument("benchmark", choices=BENCHMARK_NAMES)
-    p.add_argument("--system", default="hmtx",
-                   choices=["sequential", "hmtx", "smtx-minimal",
-                            "smtx-substantial", "smtx-maximal"])
+    p.add_argument("--system", default="hmtx", choices=RUN_SYSTEMS)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--trace", action="store_true",
                    help="attach a protocol tracer and print its summary")

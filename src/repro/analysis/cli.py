@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(small | chain | scrub; default small)")
     parser.add_argument("--shapes", default=None, metavar="S,T",
                         help="comma-separated machine shapes to explore "
-                             "(default: flat,2socket)")
+                             "(default: flat,2socket,flat-spill)")
     parser.add_argument("--inject", default=None, metavar="BUG",
                         help="explore with a mutation hook enabled "
                              "(mutation-kill gate; see INJECTIONS)")

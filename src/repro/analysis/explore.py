@@ -8,8 +8,9 @@ broadcasts racing lazy folds, VID-reset scrubs racing in-flight writes,
 cross-socket directory forwarding reordering against L1 victims.  This
 module drives the **real** machine — :class:`~repro.coherence.hierarchy.
 MemoryHierarchy` / :class:`~repro.coherence.directory.DirectoryHierarchy`,
-flat and 2-socket — through every interleaving of a small bounded scenario
-and checks global rules the local checker cannot express:
+flat, 2-socket, and a flat directory whose tiny LLC spills into the
+section 8 overflow table — through every interleaving of a small bounded
+scenario and checks global rules the local checker cannot express:
 
 ``EX001`` **serializability** — at every terminal state, the loads each
     committed transaction observed equal a sequential replay of the
@@ -22,8 +23,8 @@ and checks global rules the local checker cannot express:
     when no cache holds a committed copy, memory must.
 ``EX003`` **directory-cache agreement** — after every step the machine's
     own invariants hold on the *reachable* state: unique latest version,
-    unique hit per (cache, VID), presence map exact, sliced-LLC home
-    ownership, every holder recorded in the directory (MC009/MC010
+    unique hit per (cache, VID), presence map exact (it is the
+    directory's sharer set), sliced-LLC home ownership (MC009/MC010
     extended from static structure to all reachable states).
 ``EX004`` **liveness** — no reachable state deadlocks under fair
     scheduling (some event is enabled until everything committed and the
@@ -72,12 +73,13 @@ from ..coherence.cache import VersionedCache
 from ..coherence.directory import DirectoryConfig, DirectoryHierarchy
 from ..coherence.hierarchy import HierarchyConfig, MemoryHierarchy
 from ..coherence.line import CacheLine
+from ..coherence.overflow import OverflowVersionTable
 from ..coherence.protocol import (
     abort_transition_code,
     commit_transition_code,
     version_hits_code,
 )
-from ..coherence.states import CODE_INVALID, CODE_SM, State
+from ..coherence.states import CODE_INVALID, CODE_SM, CODE_SS, State
 from ..errors import MisspeculationError
 from ..topology import TopologySpec, place_core
 from ..txctl.causes import AbortCause
@@ -95,8 +97,10 @@ MAX_FINDINGS_PER_RULE = 5
 DEFAULT_MAX_STATES = 20000
 DEFAULT_MAX_DEPTH = 80
 
-#: Known machine shapes.
-SHAPES = ("flat", "2socket")
+#: Known machine shapes.  ``flat-spill`` is a flat directory machine with
+#: section 8 unbounded sets and a one-line LLC, so speculative LLC victims
+#: spill into the memory-side overflow table and come back through it.
+SHAPES = ("flat", "2socket", "flat-spill")
 
 _LINE = 64
 _A, _B, _C = 0x000, 0x040, 0x080
@@ -163,10 +167,10 @@ EXPLORE_PRESETS: Dict[str, Scenario] = {
 def build_hierarchy(scenario: Scenario, shape: str):
     """Build the real machine for a scenario; returns ``(hierarchy, cores)``.
 
-    Tiny geometry (4-line L1s, 16-line flat LLC / 8-line slices) so
-    eviction and overflow paths are reachable within the bounded state
-    space; all latencies 1 — exploration is untimed, only the protocol
-    decisions matter.
+    Tiny geometry (4-line L1s, 16-line flat LLC / 8-line slices; one
+    line per L1 and LLC for ``flat-spill``) so eviction and overflow paths
+    are reachable within the bounded state space; all latencies 1 —
+    exploration is untimed, only the protocol decisions matter.
     """
     n = len(scenario.threads)
     if shape == "flat":
@@ -191,6 +195,15 @@ def build_hierarchy(scenario: Scenario, shape: str):
         cores = tuple(place_core(i, topo.num_cores, topo, "spread")
                       for i in range(n))
         return DirectoryHierarchy(config), cores
+    if shape == "flat-spill":
+        config = DirectoryConfig(
+            num_cores=n, l1_size=_LINE, l1_assoc=1, l1_latency=1,
+            l2_size=_LINE, l2_assoc=1, l2_latency=1, line_size=_LINE,
+            memory_latency=1, vid_bits=scenario.vid_bits,
+            broadcast_latency=1, bus_occupancy=1, unbounded_sets=True,
+            directory_banks=1, directory_latency=1, bank_occupancy=1,
+            link_latency=1)
+        return DirectoryHierarchy(config), tuple(range(n))
     raise ValueError(f"unknown shape {shape!r} (expected one of {SHAPES})")
 
 
@@ -557,7 +570,7 @@ def _encode(run: _Run, amap: Optional[Dict[int, int]],
     at the scenario addresses, thread tuples, commit order and the
     scheduler flags.  Excluded as behaviorally irrelevant (argument in
     DESIGN.md §15): timing state, statistics, abort-history tails
-    (subsumed by resolution), the conservative directory sharer map.
+    (subsumed by resolution), the presence map (a function of the slots).
     """
     scenario = run.scenario
     n = len(run.threads)
@@ -573,6 +586,8 @@ def _encode(run: _Run, amap: Optional[Dict[int, int]],
 
     caches = [run.hierarchy.l1s[run.cores[old]] for old in tperm]
     caches.extend(run.hierarchy.llc_slices[s] for s in sperm)
+    if run.hierarchy.overflow_table is not None:
+        caches.append(run.hierarchy.overflow_table)
     cache_enc = []
     for cache in caches:
         slots = []
@@ -901,11 +916,12 @@ def _inject_broken_scrub(run: _Run) -> None:
 
 def _broken_forward_receive(self, core, owner_cache, owner, vid, kind):
     # Corrupts the data word of forwarded speculative (S-S) copies.
-    line = MemoryHierarchy._receive_from_owner(
+    slot = MemoryHierarchy._receive_from_owner(
         self, core, owner_cache, owner, vid, kind)
-    if line.state is State.SS:
-        line.data[0] ^= 0x5A
-    return line
+    store = self.l1s[core]._store
+    if store.state[slot] == CODE_SS:
+        store.data[slot][0] ^= 0x5A
+    return slot
 
 
 def _inject_broken_forward(run: _Run) -> None:
@@ -929,22 +945,24 @@ def _inject_broken_presence(run: _Run) -> None:
         cache.presence_listener = hierarchy._on_presence
 
 
-def _broken_sharers_install(self, cache, line):
-    # Bypasses the directory's eager sharer recording on install.
-    return MemoryHierarchy._install(self, cache, line)
+def _broken_spill(self, line) -> None:
+    # Spills into the table without entering the line in the presence
+    # map (the table still announces later removals): the directory's
+    # sharer set then misses the spilled version, so a miss never probes
+    # the table and memory serves stale data.
+    listener = self.presence_listener
+    self.presence_listener = None
+    try:
+        OverflowVersionTable.spill(self, line)
+    finally:
+        self.presence_listener = listener
 
 
-def _broken_sharers_record(self, cache, addr):
-    pass
-
-
-def _inject_broken_sharers(run: _Run) -> None:
-    hierarchy = run.hierarchy
-    if not isinstance(hierarchy, DirectoryHierarchy):
-        return  # no directory to break on the flat machine
-    hierarchy._install = types.MethodType(_broken_sharers_install, hierarchy)
-    hierarchy._record_presence = types.MethodType(
-        _broken_sharers_record, hierarchy)
+def _inject_broken_spill(run: _Run) -> None:
+    table = run.hierarchy.overflow_table
+    if table is None:
+        return  # nothing spills without unbounded sets
+    table.spill = types.MethodType(_broken_spill, table)
 
 
 def _skewed_read_load(self, core, addr, vid, now=0):
@@ -992,7 +1010,7 @@ INJECTIONS = {
     "broken-scrub": _inject_broken_scrub,
     "broken-forward": _inject_broken_forward,
     "broken-presence": _inject_broken_presence,
-    "broken-sharers": _inject_broken_sharers,
+    "broken-spill": _inject_broken_spill,
     "skewed-read": _inject_skewed_read,
     "stuck-commit": _inject_stuck_commit,
     "phantom-abort": _inject_phantom_abort,
@@ -1005,20 +1023,20 @@ EXPECTED_INJECTION_RULES = {
     "broken-scrub": {"EX002", "EX003"},
     "broken-forward": {"EX001", "EX002"},
     "broken-presence": {"EX003"},
-    "broken-sharers": {"EX003"},
+    "broken-spill": {"EX003"},
     "skewed-read": {"EX001"},
     "stuck-commit": {"EX004"},
     "phantom-abort": {"EX004"},
 }
 
-#: The shape each injection's bug is reachable on ("flat" works for all
-#: but the directory-specific one).
+#: The shapes each injection's bug is reachable on (``broken-spill`` only
+#: where the LLC spills into an overflow table).
 INJECTION_SHAPES = {
     "broken-fold": ("flat", "2socket"),
     "broken-scrub": ("flat", "2socket"),
     "broken-forward": ("flat", "2socket"),
     "broken-presence": ("flat", "2socket"),
-    "broken-sharers": ("2socket",),
+    "broken-spill": ("flat-spill",),
     "skewed-read": ("flat", "2socket"),
     "stuck-commit": ("flat", "2socket"),
     "phantom-abort": ("flat", "2socket"),

@@ -425,7 +425,7 @@ def check_protocol(vid_bits: int = DEFAULT_VID_BITS,
 
 #: Deterministic op script for :func:`check_topology_structure` — enough
 #: load/store/commit/abort/reset churn to populate every slice, force L1
-#: victims into home slices, and exercise the lazy sharer map.
+#: victims into home slices, and exercise the presence map.
 _STRUCTURE_VIDS = (1, 2, 3)
 
 
@@ -435,8 +435,8 @@ def check_topology_structure(hierarchy_factory=None,
 
     The pure-function checker above cannot see *placement* bugs — a
     version installed in the wrong LLC slice, a holder missing from the
-    directory's sharer map — because those live in the hierarchy objects,
-    not the protocol tables.  This pass builds a small 2-socket
+    presence map the directory probes — because those live in the
+    hierarchy objects, not the protocol tables.  This pass builds a small 2-socket
     :class:`~repro.coherence.directory.DirectoryHierarchy`, drives a
     deterministic access script across both sockets, and re-checks after
     every step:
@@ -444,10 +444,10 @@ def check_topology_structure(hierarchy_factory=None,
     ``MC009`` home-slice ownership
         Every LLC-resident version sits in its address's home slice
         (victim routing and installs never target a foreign slice).
-    ``MC010`` sharer-map completeness
+    ``MC010`` sharer-set completeness
         Every cache holding a version of a line appears in the line's
-        directory sharer entry, and the per-cache version indices mirror
-        the set contents they summarise.
+        presence-map entry (the directory's sharer set), and the
+        per-cache version indices mirror the set contents they summarise.
 
     ``hierarchy_factory`` defaults to the real machine; the mutation
     tests pass a factory producing a deliberately broken subclass (e.g.

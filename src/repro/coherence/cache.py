@@ -9,7 +9,7 @@ Lazy commit/abort (section 5.3): commits and aborts are recorded by setting
 the per-cache ``LC_VID`` register and flash-setting the per-line CB/AB bits;
 the actual Figure 6/7 transition of a line is applied the next time that
 line is touched or chosen as an eviction victim
-(:meth:`VersionedCache.process_lazy`).
+(:meth:`VersionedCache._process_lazy_slot`).
 
 Struct-of-arrays layer (DESIGN.md section 13): resident versions live as
 slots in a per-cache :class:`~repro.coherence.store.LineStore` — parallel
@@ -17,17 +17,18 @@ slots in a per-cache :class:`~repro.coherence.store.LineStore` — parallel
 lazy-processing stamps.  The per-set lists, the per-base version buckets
 and the presence map all hold plain slot integers, so the hot sweeps
 (lookup, lazy folds, VID-reset scrubs, victim selection) run over
-contiguous arrays with no per-line object in sight.  Cold paths and tests
-get :class:`~repro.coherence.line.LineView` facades, identity-cached per
-slot; eviction victims come back as detached
-:class:`~repro.coherence.line.CacheLine` records.
+contiguous arrays with no per-line object in sight.  Slots are the only
+form a resident version takes: the cold read API (:meth:`lookup`,
+:meth:`versions`, :meth:`all_lines`) and eviction return detached
+:class:`~repro.coherence.line.CacheLine` snapshots, and every mutation
+goes through the slot funnels (:meth:`_retag_slot`, :meth:`_remove_slot`).
 
 Fast-path layer (DESIGN.md, "Fast-path indexing") — pure implementation
 optimisations, invisible to the modelled protocol:
 
 * an **event epoch** bumped on every commit/abort/reset broadcast; a line
   stamped with the current epoch provably has no pending lazy events, so
-  :meth:`process_lazy` returns without replaying anything;
+  :meth:`_process_lazy_slot` returns without replaying anything;
 * a **per-base version index** (``line address -> [slots]``), so
   :meth:`versions`/:meth:`lookup` touch only the versions of the requested
   line instead of scanning the whole set;
@@ -45,14 +46,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .line import CacheLine, LineView
+from .line import CacheLine
 from .protocol import (
-    abort_transition,
     abort_transition_code,
-    commit_transition,
     commit_transition_code,
     reset_transition_code,
-    version_hits,
 )
 from .states import (
     CODE_INVALID,
@@ -168,8 +166,6 @@ class VersionedCache:
         self._set_epochs: Dict[int, int] = {}
         #: line address -> resident version slots, in set-list order.
         self._by_base: Dict[int, List[int]] = {}
-        #: slot -> LineView facade (identity-cached; popped on slot free).
-        self._views: Dict[int, LineView] = {}
         #: Maintained counters backing the snoop filters.
         self._spec_lines = 0
         self._sm_live = 0
@@ -204,14 +200,8 @@ class VersionedCache:
         return slots
 
     # ------------------------------------------------------------------
-    # Views and detached records
+    # Detached records
     # ------------------------------------------------------------------
-
-    def _view(self, slot: int) -> LineView:
-        view = self._views.get(slot)
-        if view is None:
-            view = self._views[slot] = LineView(self, slot)
-        return view
 
     def _make_record(self, slot: int) -> CacheLine:
         """Snapshot a slot's columns into a detached CacheLine record."""
@@ -221,15 +211,6 @@ class VersionedCache:
             store.data[slot], store.mod_vid[slot], store.high_vid[slot],
             store.seen_aborts[slot], store.lru_tick[slot])
         record.epoch = store.epoch[slot]
-        return record
-
-    def _free_slot(self, slot: int) -> CacheLine:
-        """Release an unlinked slot, detaching its view onto a record."""
-        record = self._make_record(slot)
-        view = self._views.pop(slot, None)
-        if view is not None:
-            view._detach(record)
-        self._store.release(slot)
         return record
 
     # ------------------------------------------------------------------
@@ -301,11 +282,10 @@ class VersionedCache:
     def _process_lazy_slot(self, slot: int) -> Optional[int]:  # hot-path
         """Resolve a slot's pending commit/abort transitions (section 5.3).
 
-        The struct-of-arrays core of :meth:`process_lazy`: replays, in
-        broadcast order, every event the line has not yet processed — for
-        each unseen abort, the commits up to the pre-abort ``LC_VID`` apply
-        first (Figure 6), then the abort (Figure 7); finally the current
-        ``LC_VID`` commit level applies.
+        Replays, in broadcast order, every event the line has not yet
+        processed — for each unseen abort, the commits up to the pre-abort
+        ``LC_VID`` apply first (Figure 6), then the abort (Figure 7);
+        finally the current ``LC_VID`` commit level applies.
 
         Returns the slot if the version survives, ``None`` if a transition
         invalidated it (in which case it has been unlinked and freed).
@@ -353,66 +333,12 @@ class VersionedCache:
         store.epoch[slot] = epoch
         return slot
 
-    def process_lazy(self, line):
-        """Resolve a line's pending transitions; object-facade entry point.
-
-        Accepts a resident :class:`LineView` (the hot case, delegated to
-        :meth:`_process_lazy_slot`), a detached view, or a plain
-        :class:`CacheLine` record.  Returns the line if it is still valid
-        afterwards, or ``None`` if a transition invalidated it (in which
-        case it has been removed from its set).
-        """
-        if type(line) is LineView and line._snap is None:
-            if line.cache is self:
-                slot = line._slot
-                return line if self._process_lazy_slot(slot) is not None else None
-        return self._process_lazy_object(line)
-
-    def _process_lazy_object(self, line):
-        """Replay pending events on a detached record or foreign view.
-
-        Mirrors the object-model implementation exactly (counters included)
-        so behaviour for lines outside this cache's arena is unchanged.
-        """
-        epoch = self._epoch
-        if line.epoch == epoch:
-            return line
-        if not line.state.speculative:
-            line.seen_aborts = len(self._abort_history)
-            line.epoch = epoch
-            return line
-        history = self._abort_history
-        while line.seen_aborts < len(history):
-            lc_at_abort = history[line.seen_aborts]
-            line.seen_aborts += 1
-            state, (mod, high) = commit_transition(
-                line.state, line.mod_vid, line.high_vid, lc_at_abort)
-            self.stats.lazy_commits_processed += 1
-            state, (mod, high) = abort_transition(state, mod, high)
-            self.stats.lazy_aborts_processed += 1
-            line.retag(state, mod, high)
-            if state is State.INVALID:
-                return None
-            if not state.speculative:
-                line.seen_aborts = len(history)
-                line.epoch = epoch
-                return line
-        state, (mod, high) = commit_transition(
-            line.state, line.mod_vid, line.high_vid, self.lc_vid)
-        if state is not line.state or mod != line.mod_vid or high != line.high_vid:
-            self.stats.lazy_commits_processed += 1
-            line.retag(state, mod, high)
-        if state is State.INVALID:
-            return None
-        line.epoch = epoch
-        return line
-
-    def _remove_slot(self, slot: int) -> CacheLine:
+    def _remove_slot(self, slot: int) -> None:
         """Unlink a resident slot from its set and index, and free it."""
         store = self._store
         self._set_list(self.set_index(store.addr[slot])).remove(slot)
         self._index_remove_slot(slot)
-        return self._free_slot(slot)
+        store.release(slot)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -442,13 +368,12 @@ class VersionedCache:
         bucket = self._by_base.get(base)
         return bucket if bucket else None
 
-    def versions(self, addr: int) -> List[LineView]:
-        """All valid versions of ``addr`` present, lazily processed first."""
+    def versions(self, addr: int) -> List[CacheLine]:
+        """Snapshots of every valid version of ``addr``, lazily processed."""
         bucket = self._process_bucket(self.line_addr(addr))
         if bucket is None:
             return []
-        view = self._view
-        return [view(slot) for slot in bucket]
+        return [self._make_record(slot) for slot in bucket]
 
     def effective_vid(self, req_vid: int) -> int:
         """Non-speculative requests use ``LC_VID`` for hit logic (5.3)."""
@@ -501,7 +426,8 @@ class VersionedCache:
                 if hit is not None:
                     raise AssertionError(
                         f"{self.name}: two versions hit VID {eff} at "
-                        f"0x{base:x}: {self._view(hit)!r} and {self._view(slot)!r}"
+                        f"0x{base:x}: {self._make_record(hit)!r} and "
+                        f"{self._make_record(slot)!r}"
                     )
                 hit = slot
         if hit is not None:
@@ -509,12 +435,12 @@ class VersionedCache:
             store.lru_tick[hit] = self._tick
         return hit
 
-    def lookup(self, addr: int, req_vid: int) -> Optional[LineView]:
-        """Return the unique version a request with ``req_vid`` hits, if any."""
+    def lookup(self, addr: int, req_vid: int) -> Optional[CacheLine]:
+        """Snapshot of the unique version a request with ``req_vid`` hits."""
         slot = self.lookup_slot(self.line_addr(addr), req_vid)
         if slot is None:
             return None
-        return self._view(slot)
+        return self._make_record(slot)
 
     def has_latest_spec_version(self, addr: int) -> bool:
         """Is there an ``S-M`` version asserting "speculatively modified"?
@@ -597,7 +523,8 @@ class VersionedCache:
             slots.remove(victim)
             self._index_remove_slot(victim)
             was_invalid = store.state[victim] == CODE_INVALID
-            evicted.append(self._free_slot(victim))
+            evicted.append(self._make_record(victim))
+            store.release(victim)
             if not was_invalid:
                 # An INVALID fallback victim never really left the
                 # hierarchy; counting it would pollute the Table 1 /
@@ -648,16 +575,11 @@ class VersionedCache:
             return slots[0]
         return best
 
-    def drop(self, line) -> None:
-        """Remove a version without writeback (silent invalidation)."""
-        if type(line) is LineView and line._snap is None and line.cache is self:
-            self._remove_slot(line._slot)
-
-    def all_lines(self) -> Iterable[LineView]:
-        view = self._view
+    def all_lines(self) -> Iterable[CacheLine]:
+        """Snapshots of every resident version, raw (not lazily processed)."""
         for slots in self._sets.values():
-            for slot in list(slots):
-                yield view(slot)
+            for slot in slots:
+                yield self._make_record(slot)
 
     def occupancy(self) -> int:
         """Number of valid versions currently resident."""
@@ -673,7 +595,7 @@ class VersionedCache:
         No per-line VID comparison or state transition happens here — that
         is the entire point of the lazy scheme.  (The paper flash-sets a CB
         bit column; commit idempotence makes even that unnecessary in the
-        simulator — see :meth:`process_lazy`.)
+        simulator — see :meth:`_process_lazy_slot`.)
         """
         self.lc_vid = vid
         self._epoch += 1
@@ -726,7 +648,7 @@ class VersionedCache:
     # Debug support
     # ------------------------------------------------------------------
 
-    def _inject_line(self, line: CacheLine) -> LineView:
+    def _inject_line(self, line: CacheLine) -> int:
         """Test hook: force a raw resident version in.
 
         Bypasses replacement, eviction and lazy processing — the slot-arena
@@ -741,7 +663,7 @@ class VersionedCache:
         store.lru_tick[slot] = line.lru_tick
         self._set_list(self.set_index(line.addr)).append(slot)
         self._index_add_slot(slot)
-        return self._view(slot)
+        return slot
 
     def check_index_integrity(self) -> None:
         """Assert the fast-path index and counters match the set lists."""
@@ -764,8 +686,3 @@ class VersionedCache:
             f"{self.name}: speculative-line counter {self._spec_lines} != {spec}")
         assert sm == self._sm_live, (
             f"{self.name}: S-M filter counter {self._sm_live} != {sm}")
-        for slot, view in self._views.items():
-            assert view._snap is None and view.cache is self, (
-                f"{self.name}: detached view still cached for slot {slot}")
-            assert view._slot == slot and store.state[slot] != FREE_CODE, (
-                f"{self.name}: view cache entry for slot {slot} is stale")

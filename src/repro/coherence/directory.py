@@ -8,13 +8,15 @@ misses serialise (``HierarchyConfig.bus_occupancy``) — fine at 4 cores,
 ruinous at 16.  :class:`DirectoryHierarchy` replaces the bus with a banked
 directory co-located with the L2:
 
-* a **sharer map** tracks, per line address, which caches may hold
-  versions.  Installs update it eagerly; removals are lazy, so the map is a
-  conservative superset and a probe may find the entry stale (counted) —
-  exactly how real sparse directories behave between acknowledgments;
+* the **sharer set** of a line is the hierarchy's exact presence map
+  (``_holders``): a cache appears iff it holds a version of the line, the
+  memory-side overflow table of section 8 included.  Every install path,
+  a §8 spill as much as an ordinary fill, updates it through the caches'
+  presence listeners, so there is no second copy to fall out of step;
 * a miss consults the line's home **bank** (address-interleaved, each with
-  its own occupancy window) and probes only the recorded sharers instead of
-  broadcasting, so misses to different banks proceed in parallel;
+  its own occupancy window) and probes only the line's holders, in name
+  order, instead of broadcasting, so misses to different banks proceed in
+  parallel;
 * version selection, conflict detection, commit/abort, overflow — the
   entire HMTX protocol layer — is inherited unchanged, which is the point:
   the paper's scheme needs no global state to pick a version or detect a
@@ -28,13 +30,15 @@ latency that grows logarithmically with core count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import List, Optional, Set, Tuple
 
 from .cache import VersionedCache
 from .hierarchy import AccessKind, HierarchyConfig, MemoryHierarchy
-from .line import CacheLine, LineView
-from .states import State
+from .states import CODE_SS
+
+_by_name = attrgetter("name")
 
 
 @dataclass
@@ -43,7 +47,6 @@ class DirectoryStats:
 
     lookups: int = 0
     probes_sent: int = 0
-    stale_probes: int = 0
     invalidations_sent: int = 0
     bank_wait_cycles: int = 0
 
@@ -70,33 +73,23 @@ class DirectoryHierarchy(MemoryHierarchy):
         super().__init__(config)
         self.dconfig = config
         self.dir_stats = DirectoryStats()
-        #: line address -> names of caches that may hold a version.
-        self._sharers: Dict[int, Set[str]] = {}
         #: Each socket carries its own ``directory_banks`` banks next to
         #: its LLC slice (one socket — today's flat bank array — when no
         #: multi-socket topology is declared).
         sockets = config.topology.sockets if self._multi_socket else 1
         self._bank_free: List[int] = [0] * (sockets * config.directory_banks)
-        self._caches_by_name = {c.name: c for c in self._all_caches()}
 
     # ------------------------------------------------------------------
-    # Sharer-map maintenance
+    # Sharer sets
     # ------------------------------------------------------------------
-
-    def _install(self, cache: VersionedCache, line: CacheLine) -> "LineView":
-        self._sharers.setdefault(line.addr, set()).add(cache.name)
-        return super()._install(cache, line)
-
-    def _record_presence(self, cache: VersionedCache, addr: int) -> None:
-        self._sharers.setdefault(addr, set()).add(cache.name)
 
     def sharers_of(self, addr: int) -> Set[str]:
-        """The (conservative) recorded sharer set of a line."""
-        base = addr - (addr % self.config.line_size)
-        return set(self._sharers.get(base, set()))
+        """Names of the caches holding a version of ``addr``'s line."""
+        return {cache.name
+                for cache in self._holders.get(self.l2.line_addr(addr), ())}
 
     def check_directory_invariant(self) -> None:
-        """Every cached version's holder appears in the sharer map.
+        """Every cached version's holder appears in its line's sharer set.
 
         Under a multi-socket topology two further invariants bind the
         sliced LLC to the directory: a line's home slice owns its
@@ -105,13 +98,10 @@ class DirectoryHierarchy(MemoryHierarchy):
         the probes the home bank sends), and hence no version may reside
         in a non-home slice at all.
         """
-        for cache in self._all_caches():
+        for cache in self._caches:
             in_llc = cache in self._llc_group
             for line in cache.all_lines():
-                if line.state is State.INVALID:
-                    continue
-                recorded = self._sharers.get(line.addr, set())
-                assert cache.name in recorded, \
+                assert cache in self._holders.get(line.addr, ()), \
                     f"{cache.name} holds 0x{line.addr:x} unrecorded"
                 if in_llc and self._multi_socket:
                     # Independently recomputed from the topology spec so a
@@ -168,7 +158,7 @@ class DirectoryHierarchy(MemoryHierarchy):
     # ------------------------------------------------------------------
 
     def _fetch(self, core: int, addr: int, vid: int,
-               kind: AccessKind, now: int = 0) -> Tuple[CacheLine, int, str]:
+               kind: AccessKind, now: int = 0) -> Tuple[int, int, str]:
         self.stats.bus_snoops += 1     # kept: "coherence transactions"
         self.dir_stats.lookups += 1
         l1 = self.l1s[core]
@@ -181,70 +171,46 @@ class DirectoryHierarchy(MemoryHierarchy):
         latency = self._bank_transaction(base, now) \
             + self._link(req_socket, home_socket)
         spec_modified_asserted = l1.has_latest_spec_version(addr)
-        recorded = [name for name in sorted(self.sharers_of(addr))
-                    if name != l1.name]
-        for name in recorded:
-            cache = self._caches_by_name[name]
+        for cache in sorted(self._holders.get(base, ()), key=_by_name):
+            if cache is l1:
+                continue
             self.dir_stats.probes_sent += 1
             if cache.has_latest_spec_version(addr):
                 spec_modified_asserted = True
-            owner = cache.lookup(addr, vid)
-            if owner is None or owner.state is State.SS:
-                if not cache.versions(addr):
-                    # Stale directory entry: the holder silently dropped
-                    # its copy; clean the map.
-                    self.dir_stats.stale_probes += 1
-                    self._sharers.get(base, set()).discard(name)
+            owner = cache.lookup_slot(base, vid)
+            if owner is None or cache._store.state[owner] == CODE_SS:
                 continue
             self.stats.peer_transfers += 1
             # The owner forwards the line directly to the requester
             # (three-hop protocol); charge the requester<->owner leg.
-            owner_socket = self._cache_socket.get(name, home_socket)
+            owner_socket = self._cache_socket.get(cache.name, home_socket)
             latency += self._link(req_socket, owner_socket)
             if self.overflow_table is not None and cache is self.overflow_table:
                 latency += cache.hit_latency
                 self.overflow_table.refills += 1
-            line = self._receive_from_owner(core, cache, owner, vid, kind)
-            return line, latency, cache.name
+            slot = self._receive_from_owner(core, cache, owner, vid, kind)
+            return slot, latency, cache.name
         # Memory responds through the home bank.
-        self.stats.memory_fetches += 1
         latency += self.config.memory_latency
-        data = self.memory.read_line(addr)
-        eff = l1.effective_vid(vid)
-        if spec_modified_asserted:
-            self.stats.overflow_retrievals += 1
-            line = CacheLine(base, State.SO, data, 0, eff + 1)
-        else:
-            line = CacheLine(base, State.EXCLUSIVE, data)
-        return self._install(l1, line), latency, "memory"
+        slot = self._fill_from_memory(l1, addr, vid, spec_modified_asserted)
+        return slot, latency, "memory"
 
     # ------------------------------------------------------------------
     # Invalidations become targeted multicasts
     # ------------------------------------------------------------------
 
-    def _invalidate_nonspec_everywhere(self, addr: int,
-                                       keep: Optional[CacheLine] = None) -> None:
-        # Same semantics as the base class (non-speculative copies plus
-        # silent S-S copies), delivered as directed invalidations.
-        for name in sorted(self.sharers_of(addr)):
-            cache = self._caches_by_name[name]
-            self.dir_stats.invalidations_sent += 1
-            for line in cache.versions(addr):
-                if line is keep:
-                    continue
-                if line.is_speculative() and line.state is not State.SS:
-                    continue
-                cache.drop(line)
+    def _invalidate_nonspec_everywhere(
+            self, addr: int,
+            keep: Optional[Tuple[VersionedCache, int]] = None) -> None:
+        # The bus machine's sweep, delivered as one directed invalidation
+        # per holder.
+        self.dir_stats.invalidations_sent += len(
+            self._holders.get(self.l2.line_addr(addr), ()))
+        super()._invalidate_nonspec_everywhere(addr, keep)
 
     def _scrub_ss_copies(self, addr: int, mod_vid: int) -> None:
-        dropped = False
-        for name in sorted(self.sharers_of(addr)):
-            cache = self._caches_by_name[name]
-            for line in cache.versions(addr):
-                if line.state is State.SS and line.mod_vid == mod_vid:
-                    cache.drop(line)
-                    dropped = True
-        if dropped:
+        # One directed invalidation multicast, not a bus snoop.
+        if self._drop_ss_copies(addr, mod_vid):
             self.stats.ss_invalidations += 1
             self.dir_stats.invalidations_sent += 1
 

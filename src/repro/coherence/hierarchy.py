@@ -29,7 +29,7 @@ from ..errors import MisspeculationError, SpeculativeOverflowError
 from ..topology import TopologySpec
 from ..txctl.causes import AbortCause
 from .cache import VersionedCache
-from .line import CacheLine, LineView
+from .line import CacheLine
 from .memory import MainMemory
 from .overflow import OverflowVersionTable
 from .protocol import (
@@ -43,9 +43,13 @@ from .states import (
     CODE_EXCLUSIVE,
     CODE_INVALID,
     CODE_MODIFIED,
+    CODE_OWNED,
     CODE_SE,
+    CODE_SHARED,
     CODE_SM,
     CODE_SS,
+    DIRTY_BY_CODE,
+    STATE_FROM_CODE,
     State,
 )
 
@@ -549,8 +553,8 @@ class MemoryHierarchy:
                         if slot >= 0:
                             raise AssertionError(
                                 f"{name}: two versions hit VID {eff} "
-                                f"at 0x{base:x}: {l1._view(slot)!r} and "
-                                f"{l1._view(s)!r}")
+                                f"at 0x{base:x}: {l1._make_record(slot)!r} "
+                                f"and {l1._make_record(s)!r}")
                         slot = s
                 comparator.fast_comparisons += fast
                 comparator.cascaded_comparisons += cascaded
@@ -611,26 +615,27 @@ class MemoryHierarchy:
                             value, hit_latency, True, name)
                 # Upgrades, conflicts, and copy-creating writes:
                 # _apply decides on the found version.
-            return self._apply(core, l1._view(slot), addr, vid, kind,
+            return self._apply(core, slot, addr, vid, kind,
                                value, hit_latency, True, name)
         # Miss (or silent S-S copy on a write): fetch over the bus.
         latency = hit_latency
         l1stats.misses += 1
         latency += self._bus_transaction(now + latency)
-        hit, transfer_latency, served_by = self._fetch(
+        slot, transfer_latency, served_by = self._fetch(
             core, addr, vid, kind, now=now + latency)
         latency += transfer_latency
-        return self._apply(core, hit, addr, vid, kind, value, latency,
+        return self._apply(core, slot, addr, vid, kind, value, latency,
                            False, served_by)
 
     def _fetch(self, core: int, addr: int, vid: int,
-               kind: AccessKind, now: int = 0) -> Tuple[LineView, int, str]:
+               kind: AccessKind, now: int = 0) -> Tuple[int, int, str]:
         """Bring a copy that ``vid`` hits into ``core``'s L1.
 
         Implements the bus snoop: exactly one cache responds with the
         version that would have hit (S-S copies stay silent); otherwise
         memory responds, possibly via the section 5.4 overflow-retrieval
-        path.
+        path.  Returns the L1 slot the copy landed in, the transfer
+        latency and the responder's name.
 
         Snoop filter: only caches recorded as holding a version of the line
         are consulted.  A cache with no version of the address answers no
@@ -648,8 +653,8 @@ class MemoryHierarchy:
                     continue
                 if cache.has_latest_spec_version(addr):
                     spec_modified_asserted = True
-                owner = cache.lookup(addr, vid)
-                if owner is None or owner.state is State.SS:
+                owner = cache.lookup_slot(base, vid)
+                if owner is None or cache._store.state[owner] == CODE_SS:
                     continue
                 self.stats.peer_transfers += 1
                 if self.overflow_table is not None \
@@ -660,16 +665,22 @@ class MemoryHierarchy:
                     # The line transfer crosses the socket interconnect
                     # when the responder lives on another die.
                     latency += self._numa_hop(core, cache.name, base)
-                line = self._receive_from_owner(core, cache, owner, vid, kind)
-                return line, latency, cache.name
+                slot = self._receive_from_owner(core, cache, owner, vid, kind)
+                return slot, latency, cache.name
         # No cache can serve the request: memory responds.
-        self.stats.memory_fetches += 1
         latency += self.config.memory_latency
         if self._multi_socket:
             # Memory is reached through the line's home socket's controller.
             latency += self._numa_hop(core, None, base)
+        slot = self._fill_from_memory(l1, addr, vid, spec_modified_asserted)
+        return slot, latency, "memory"
+
+    def _fill_from_memory(self, l1: VersionedCache, addr: int, vid: int,
+                          spec_modified_asserted: bool) -> int:
+        """Install memory's copy of the line in ``l1``; returns its slot."""
+        self.stats.memory_fetches += 1
         data = self.memory.read_line(addr)
-        eff = l1.effective_vid(vid)
+        base = l1.line_addr(addr)
         if spec_modified_asserted:
             # Section 5.4: an S-M copy asserted "speculatively modified" but
             # could not serve this VID, so the non-speculative backup must
@@ -678,149 +689,172 @@ class MemoryHierarchy:
             # E copy while a live S-M exists would shadow the speculative
             # version for later VIDs.)
             self.stats.overflow_retrievals += 1
-            line = CacheLine(base, State.SO, data, 0, eff + 1)
+            line = CacheLine(base, State.SO, data, 0,
+                             l1.effective_vid(vid) + 1)
         else:
             line = CacheLine(base, State.EXCLUSIVE, data)
-        return self._install(l1, line), latency, "memory"
+        return self._install(l1, line)
 
     def _receive_from_owner(self, core: int, owner_cache: VersionedCache,
-                            owner: LineView, vid: int,
-                            kind: AccessKind) -> LineView:
-        """Install a usable copy of ``owner``'s version in ``core``'s L1."""
+                            owner: int, vid: int, kind: AccessKind) -> int:
+        """Install a usable copy of slot ``owner``'s version in ``core``'s L1.
+
+        Returns the L1 slot.  The owner slot may be freed on the way (an
+        invalidation, a migration, or an eviction the install triggers), so
+        every read of it happens before the first call that can free it.
+        """
         l1 = self.l1s[core]
         eff = l1.effective_vid(vid)
-        if not owner.is_speculative():
+        store = owner_cache._store
+        code = store.state[owner]
+        base = store.addr[owner]
+        mod = store.mod_vid[owner]
+        high = store.high_vid[owner]
+        data = list(store.data[owner])
+        if code < CODE_SM:
             if vid > 0 or kind is AccessKind.WRITE:
                 # First speculative touch (or any write) needs exclusive
                 # access: every non-speculative copy of the line is
                 # invalidated and the line migrates (Figure 4's entry arcs).
-                dirty = owner.is_dirty()
-                data = owner.copy_data()
-                self._invalidate_nonspec_everywhere(owner.addr)
-                state = State.MODIFIED if dirty else State.EXCLUSIVE
-                return self._install(l1, CacheLine(owner.addr, state, data))
+                self._invalidate_nonspec_everywhere(base)
+                state = (State.MODIFIED if DIRTY_BY_CODE[code]
+                         else State.EXCLUSIVE)
+                return self._install(l1, CacheLine(base, state, data))
             # Plain non-speculative read sharing: MOESI read hit.
-            data = owner.copy_data()
-            if owner.state is State.MODIFIED:
-                owner.set_state(State.OWNED)
-            elif owner.state is State.EXCLUSIVE:
-                owner.set_state(State.SHARED)
-            return self._install(l1, CacheLine(owner.addr, State.SHARED, data))
+            if code == CODE_MODIFIED:
+                owner_cache._retag_slot(owner, CODE_OWNED, mod, high)
+            elif code == CODE_EXCLUSIVE:
+                owner_cache._retag_slot(owner, CODE_SHARED, mod, high)
+            return self._install(l1, CacheLine(base, State.SHARED, data))
+        state = STATE_FROM_CODE[code]
         if kind is AccessKind.READ:
             # Uncommitted value forwarding across caches: the requester gets
             # a shared speculative copy; the owner keeps tracking the global
             # highVID so later conflicting stores are still caught.
             if vid > 0:
-                new_state, (mod, high) = read_transition(
-                    owner.state, owner.mod_vid, owner.high_vid, eff)
-                owner.retag(new_state, mod, high)
-            if owner.state in (State.SM, State.SE):
+                state, (mod, high) = read_transition(state, mod, high, eff)
+                owner_cache._retag_slot(owner, state.code, mod, high)
+            if state.latest_spec:
                 # The copy's window is capped just above the requesting VID:
                 # a strictly later VID's read must reach the owner to be
                 # logged there.
-                copy_high = eff + 1 if vid > 0 else owner.high_vid
+                copy_high = eff + 1 if vid > 0 else high
             else:
-                copy_high = owner.high_vid
-            line = CacheLine(owner.addr, State.SS, owner.copy_data(),
-                             owner.mod_vid, copy_high)
-            return self._install(l1, line)
+                copy_high = high
+            return self._install(l1, CacheLine(base, State.SS, data, mod,
+                                               copy_high))
         # A write served by a remote speculative version: decide abort /
         # in-place migration / new version here, where both copies are
         # visible.  Non-speculative writes that land on a live speculative
         # version are conservative conflicts (eff = LC_VID < highVID).
-        outcome = write_outcome(owner.state, owner.mod_vid, owner.high_vid, eff)
+        outcome = write_outcome(state, mod, high, eff)
         if outcome is WriteOutcome.ABORT or vid == 0:
-            self._raise_misspeculation(owner, eff)
-        self._scrub_ss_copies(owner.addr, owner.mod_vid)
+            self._raise_misspeculation(owner_cache, owner, eff)
+        self._scrub_ss_copies(base, mod)
         if outcome is WriteOutcome.IN_PLACE:
             # Same transaction writes from another core: the S-M version
             # migrates wholesale (speculative threads may move between
             # cores, section 5.2).
-            line = CacheLine(owner.addr, owner.state, owner.copy_data(),
-                             owner.mod_vid, max(owner.high_vid, eff))
-            owner_cache.drop(owner)
-            return self._install(l1, line)
-        plan = plan_new_version(owner.state, owner.mod_vid, owner.high_vid, eff)
-        data = owner.copy_data()
-        owner.retag(plan.old_state, *plan.old_vids)
-        line = CacheLine(owner.addr, State.SM, data, *plan.new_vids)
+            owner_cache._remove_slot(owner)
+            return self._install(l1, CacheLine(base, state, data, mod,
+                                               max(high, eff)))
+        plan = plan_new_version(state, mod, high, eff)
+        owner_cache._retag_slot(owner, plan.old_state.code, *plan.old_vids)
         l1.stats.version_copies += 1
-        return self._install(l1, line)
+        return self._install(l1, CacheLine(base, State.SM, data,
+                                           *plan.new_vids))
 
-    def _apply(self, core: int, line: LineView, addr: int, vid: int,
+    def _apply(self, core: int, slot: int, addr: int, vid: int,
                kind: AccessKind, value: Optional[int], latency: int,
                l1_hit: bool, served_by: str) -> AccessResult:
-        """Apply the access to the L1-resident version ``line``."""
+        """Apply the access to the version resident in L1 slot ``slot``."""
         l1 = self.l1s[core]
+        store = l1._store
         eff = l1.effective_vid(vid)
         word = self._word(addr)
+        code = store.state[slot]
         if kind is AccessKind.READ:
             sla_required = False
             if vid > 0:
-                sla_required = (not line.is_speculative()
-                                or line.high_vid < eff)
-                if line.state in (State.OWNED, State.SHARED):
+                sla_required = code < CODE_SM or store.high_vid[slot] < eff
+                if code == CODE_OWNED or code == CODE_SHARED:
                     # Entering the speculative world needs exclusive access.
-                    self._upgrade(line)
-                new_state, (mod, high) = read_transition(
-                    line.state, line.mod_vid, line.high_vid, eff)
-                if new_state is not line.state or mod != line.mod_vid \
-                        or high != line.high_vid:
-                    line.retag(new_state, mod, high)
-            return AccessResult(line.data[word], latency, l1_hit, served_by,
-                                sla_required=sla_required)
+                    code = self._upgrade(l1, slot)
+                mod = store.mod_vid[slot]
+                high = store.high_vid[slot]
+                state, (new_mod, new_high) = read_transition(
+                    STATE_FROM_CODE[code], mod, high, eff)
+                if state.code != code or new_mod != mod or new_high != high:
+                    l1._retag_slot(slot, state.code, new_mod, new_high)
+            return AccessResult(store.data[slot][word], latency, l1_hit,
+                                served_by, sla_required=sla_required)
         # Store path.
         assert value is not None
         if vid == 0:
-            if line.is_speculative():
+            if code >= CODE_SM:
                 # A non-speculative store landing on live speculative state
                 # is a conservative conflict.
-                self._raise_misspeculation(line, eff)
-            if line.state in (State.OWNED, State.SHARED):
-                self._upgrade(line)
-            line.set_state(State.MODIFIED)
-            line.data[word] = value
+                self._raise_misspeculation(l1, slot, eff)
+            if code == CODE_OWNED or code == CODE_SHARED:
+                self._upgrade(l1, slot)
+            l1._retag_slot(slot, CODE_MODIFIED, store.mod_vid[slot],
+                           store.high_vid[slot])
+            store.data[slot][word] = value
             return AccessResult(value, latency, l1_hit, served_by)
-        if line.state in (State.OWNED, State.SHARED):
-            self._upgrade(line)
-        outcome = write_outcome(line.state, line.mod_vid, line.high_vid, eff)
+        if code == CODE_OWNED or code == CODE_SHARED:
+            code = self._upgrade(l1, slot)
+        state = STATE_FROM_CODE[code]
+        mod = store.mod_vid[slot]
+        high = store.high_vid[slot]
+        outcome = write_outcome(state, mod, high, eff)
         if outcome is WriteOutcome.ABORT:
-            self._raise_misspeculation(line, eff)
+            self._raise_misspeculation(l1, slot, eff)
         if outcome is WriteOutcome.IN_PLACE:
-            self._scrub_ss_copies(line.addr, line.mod_vid)
-            line.data[word] = value
-            line.high_vid = max(line.high_vid, eff)
+            self._scrub_ss_copies(addr, mod)
+            store.data[slot][word] = value
+            store.high_vid[slot] = max(high, eff)
             return AccessResult(value, latency, l1_hit, served_by)
-        if line.is_speculative():
-            self._scrub_ss_copies(line.addr, line.mod_vid)
-        plan = plan_new_version(line.state, line.mod_vid, line.high_vid, eff)
-        new_line = CacheLine(line.addr, State.SM, line.copy_data(),
-                             *plan.new_vids)
-        new_line.data[word] = value
-        line.retag(plan.old_state, *plan.old_vids)
+        if state.speculative:
+            self._scrub_ss_copies(addr, mod)
+        plan = plan_new_version(state, mod, high, eff)
+        data = list(store.data[slot])
+        data[word] = value
+        new_line = CacheLine(store.addr[slot], State.SM, data, *plan.new_vids)
+        l1._retag_slot(slot, plan.old_state.code, *plan.old_vids)
         l1.stats.version_copies += 1
         self._install(l1, new_line)
         return AccessResult(value, latency, l1_hit, served_by,
                             created_version=True)
 
-    def _upgrade(self, line: LineView) -> None:
-        """Invalidate peer copies so ``line`` becomes writable (O/S -> M/E)."""
-        self.stats.bus_snoops += 1
-        self._invalidate_nonspec_everywhere(line.addr, keep=line)
-        line.set_state(State.MODIFIED if line.state is State.OWNED
-                       else State.EXCLUSIVE)
+    def _upgrade(self, cache: VersionedCache, slot: int) -> int:
+        """Invalidate peer copies so ``slot`` becomes writable (O/S -> M/E).
 
-    def _invalidate_nonspec_everywhere(self, addr: int,
-                                       keep: Optional[LineView] = None) -> None:  # hot-path
+        Returns the slot's new state code.
+        """
+        self.stats.bus_snoops += 1
+        store = cache._store
+        self._invalidate_nonspec_everywhere(store.addr[slot],
+                                            keep=(cache, slot))
+        code = (CODE_MODIFIED if store.state[slot] == CODE_OWNED
+                else CODE_EXCLUSIVE)
+        cache._retag_slot(slot, code, store.mod_vid[slot],
+                          store.high_vid[slot])
+        return code
+
+    def _invalidate_nonspec_everywhere(
+            self, addr: int,
+            keep: Optional[Tuple[VersionedCache, int]] = None,
+    ) -> None:  # hot-path
         """Acquire exclusivity: drop every non-speculative copy.
 
-        Silent shared speculative copies (``S-S``) are dropped as well —
-        they are clean, never respond to snoops, and a stale one whose
-        window survived its version's commit would otherwise overlap the
-        speculative marking the requester is about to create.  Real
-        speculative owners (``S-M``/``S-O``/``S-E``) are never present on
-        this path: a live latest version would have served the request
-        itself instead of a non-speculative owner.
+        ``keep`` is the ``(cache, slot)`` of the requester's own copy,
+        which survives.  Silent shared speculative copies (``S-S``) are
+        dropped as well — they are clean, never respond to snoops, and a
+        stale one whose window survived its version's commit would
+        otherwise overlap the speculative marking the requester is about
+        to create.  Real speculative owners (``S-M``/``S-O``/``S-E``) are
+        never present on this path: a live latest version would have
+        served the request itself instead of a non-speculative owner.
 
         Only caches recorded in the presence map are visited, and each
         holder's version bucket is swept directly on the state column;
@@ -837,7 +871,7 @@ class MemoryHierarchy:
             if bucket is None:
                 continue
             state_col = cache._store.state
-            keep_slot = (keep._slot if keep is not None and keep.cache is cache
+            keep_slot = (keep[1] if keep is not None and keep[0] is cache
                          else -1)
             for slot in list(bucket):  # lint-ok: RL006 (snapshot: bucket shrinks underneath)
                 if slot == keep_slot:
@@ -847,12 +881,20 @@ class MemoryHierarchy:
                     continue
                 cache._remove_slot(slot)
 
-    def _scrub_ss_copies(self, addr: int, mod_vid: int) -> None:  # hot-path
+    def _scrub_ss_copies(self, addr: int, mod_vid: int) -> None:
         """Invalidate all S-S copies of version ``(addr, mod_vid)``.
 
         The speculative analogue of a MOESI upgrade: a write to a version
         must invalidate its silent read-only copies, otherwise they would
-        keep serving the version's *pre-write* data.
+        keep serving the version's *pre-write* data.  On the bus it costs
+        one snoop when any copy existed.
+        """
+        if self._drop_ss_copies(addr, mod_vid):
+            self.stats.ss_invalidations += 1
+            self.stats.bus_snoops += 1
+
+    def _drop_ss_copies(self, addr: int, mod_vid: int) -> bool:  # hot-path
+        """Drop every S-S copy of version ``(addr, mod_vid)``; any dropped?
 
         Filtered through the presence map like every other snoop; each
         holder's version bucket is swept directly on the state and modVID
@@ -861,7 +903,7 @@ class MemoryHierarchy:
         base = self.l2.line_addr(addr)
         holders = self._holders.get(base)
         if not holders:
-            return
+            return False
         dropped = False
         for cache in self._caches:
             if cache not in holders:
@@ -876,31 +918,34 @@ class MemoryHierarchy:
                 if state_col[slot] == CODE_SS and mod_col[slot] == mod_vid:
                     cache._remove_slot(slot)
                     dropped = True
-        if dropped:
-            self.stats.ss_invalidations += 1
-            self.stats.bus_snoops += 1
+        return dropped
 
-    def _raise_misspeculation(self, line: CacheLine, vid: int) -> None:
+    def _raise_misspeculation(self, cache: VersionedCache, slot: int,
+                              vid: int) -> None:
+        store = cache._store
         raise MisspeculationError(
             f"store with VID {vid} conflicts with version "
-            f"{line.state}({line.mod_vid},{line.high_vid})",
-            vid=vid, addr=line.addr, cause=AbortCause.CONFLICT)
+            f"{STATE_FROM_CODE[store.state[slot]]}"
+            f"({store.mod_vid[slot]},{store.high_vid[slot]})",
+            vid=vid, addr=store.addr[slot], cause=AbortCause.CONFLICT)
 
     # ------------------------------------------------------------------
     # Eviction handling
     # ------------------------------------------------------------------
 
-    def _install(self, cache: VersionedCache, line: CacheLine) -> LineView:
-        """Install ``line`` and handle its victims; returns the resident view.
+    def _install(self, cache: VersionedCache, line: CacheLine) -> int:
+        """Install ``line`` and handle its victims; returns the new slot.
 
         ``line`` is an in-flight record — once installed, the version lives
-        in the cache's slot arena, so callers that keep mutating the line
-        (retags, data writes) must do it through the returned view.
+        in the cache's slot arena, so callers that keep mutating it (retags,
+        data writes) must do it through the returned slot.  Victims only
+        ever move *down* the hierarchy, so the slot is still live when this
+        returns.
         """
         slot, evicted = cache.install_slot(line)
         for victim in evicted:
             self._handle_victim(cache, victim)
-        return cache._view(slot)
+        return slot
 
     def _handle_victim(self, cache: VersionedCache, victim: CacheLine) -> None:
         if victim.state is State.INVALID:

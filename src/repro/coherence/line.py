@@ -1,12 +1,12 @@
 """Cache line model with HMTX version tags.
 
 Since the struct-of-arrays rewrite (DESIGN.md §13) resident versions live
-as *slots* in a per-cache :class:`~repro.coherence.store.LineStore`;
+only as *slots* in a per-cache :class:`~repro.coherence.store.LineStore`;
 :class:`CacheLine` objects are the **in-flight record**: the value a caller
 hands to ``install()``, the detached victim record an eviction returns, and
-the snapshot a dropped :class:`LineView` decays to.  :class:`LineView` is
-the object facade over a resident slot for the cold paths (tests,
-experiments, trace tooling) that want attribute access.
+the detached snapshot the cold read API (``lookup``, ``versions``,
+``all_lines``) returns.  A snapshot never writes back: mutating a resident
+version goes through the owning cache's slot funnels.
 
 Each physical cache line carries, on top of its MOESI/speculative state and
 data, the two VIDs of section 4.1:
@@ -33,21 +33,22 @@ and the lazy-processing tags of section 5.3:
     event epoch at which this line was last lazily processed.  The cache
     bumps its epoch on every commit/abort/reset broadcast, so
     ``epoch == cache epoch`` proves the line has no pending events and
-    :meth:`~repro.coherence.cache.VersionedCache.process_lazy` can return
-    immediately — the replay it skips would have been an exact no-op.
+    :meth:`~repro.coherence.cache.VersionedCache._process_lazy_slot` can
+    return immediately — the replay it skips would have been an exact no-op.
 
-Lines are plain ``__slots__`` objects (no dataclass machinery): millions
-are touched per simulated run, and attribute storage plus identity-based
-equality are measurably cheaper.  Within one cache, field equality implied
-identity anyway (``lru_tick`` is unique per touch), so switching list
-membership tests to identity does not change behaviour.
+Records are plain ``__slots__`` objects (no dataclass machinery): one is
+built per install, victim and snapshot.  The ``cache`` back-reference and
+the :meth:`CacheLine.retag` funnel serve object-per-line containers (the
+legacy reference store the differential tests replay against); records the
+slot arena hands out carry ``cache = None``, so retagging one is plain
+assignment.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .states import CODE_SM, STATE_FROM_CODE, State
+from .states import State
 
 
 class CacheLine:
@@ -122,166 +123,6 @@ class CacheLine:
 
     def set_vids(self, mod_vid: int, high_vid: int) -> None:
         self.retag(self.state, mod_vid, high_vid)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CacheLine(0x{self.addr:x}, {self.state}"
-            f"({self.mod_vid},{self.high_vid}))"
-        )
-
-
-class LineView:
-    """Object facade over one resident slot of a cache's line store.
-
-    Views are identity-cached per slot by the owning cache, so two views of
-    the same resident version are the same object (``is`` keeps working for
-    the ``keep=`` idiom and list membership).  When the underlying slot is
-    freed — eviction, drop, lazy invalidation — the view *detaches*: the
-    slot's final field values are snapshotted into a :class:`CacheLine`
-    record and all further reads serve the snapshot, mirroring how a
-    removed object line kept its last field values (with ``cache`` reset to
-    ``None``).
-
-    Mutators mirror :class:`CacheLine`'s funnel: :meth:`retag` (and
-    :meth:`set_state`/:meth:`set_vids`) goes through the owning cache so
-    the filter counters stay exact; ``high_vid``, ``seen_aborts`` and
-    ``epoch`` may be assigned directly since no filter depends on them
-    (the latter two are the lazy-processing stamps ``process_lazy``
-    updates on object lines).
-    """
-
-    __slots__ = ("cache", "_slot", "_snap")
-
-    def __init__(self, cache, slot: int) -> None:
-        self.cache = cache
-        self._slot = slot
-        #: Detached snapshot (a CacheLine) once the slot is freed.
-        self._snap: Optional[CacheLine] = None
-
-    # -- field access ---------------------------------------------------
-
-    @property
-    def addr(self) -> int:
-        snap = self._snap
-        if snap is not None:
-            return snap.addr
-        return self.cache._store.addr[self._slot]
-
-    @property
-    def state(self):
-        snap = self._snap
-        if snap is not None:
-            return snap.state
-        return STATE_FROM_CODE[self.cache._store.state[self._slot]]
-
-    @property
-    def data(self) -> List[int]:
-        snap = self._snap
-        if snap is not None:
-            return snap.data
-        return self.cache._store.data[self._slot]
-
-    @property
-    def mod_vid(self) -> int:
-        snap = self._snap
-        if snap is not None:
-            return snap.mod_vid
-        return self.cache._store.mod_vid[self._slot]
-
-    @property
-    def high_vid(self) -> int:
-        snap = self._snap
-        if snap is not None:
-            return snap.high_vid
-        return self.cache._store.high_vid[self._slot]
-
-    @high_vid.setter
-    def high_vid(self, value: int) -> None:
-        snap = self._snap
-        if snap is not None:
-            snap.high_vid = value
-        else:
-            self.cache._store.high_vid[self._slot] = value
-
-    @property
-    def seen_aborts(self) -> int:
-        snap = self._snap
-        if snap is not None:
-            return snap.seen_aborts
-        return self.cache._store.seen_aborts[self._slot]
-
-    @seen_aborts.setter
-    def seen_aborts(self, value: int) -> None:
-        snap = self._snap
-        if snap is not None:
-            snap.seen_aborts = value
-        else:
-            self.cache._store.seen_aborts[self._slot] = value
-
-    @property
-    def lru_tick(self) -> int:
-        snap = self._snap
-        if snap is not None:
-            return snap.lru_tick
-        return self.cache._store.lru_tick[self._slot]
-
-    @property
-    def epoch(self) -> int:
-        snap = self._snap
-        if snap is not None:
-            return snap.epoch
-        return self.cache._store.epoch[self._slot]
-
-    @epoch.setter
-    def epoch(self, value: int) -> None:
-        snap = self._snap
-        if snap is not None:
-            snap.epoch = value
-        else:
-            self.cache._store.epoch[self._slot] = value
-
-    @property
-    def vids(self) -> Tuple[int, int]:
-        snap = self._snap
-        if snap is not None:
-            return (snap.mod_vid, snap.high_vid)
-        store = self.cache._store
-        slot = self._slot
-        return (store.mod_vid[slot], store.high_vid[slot])
-
-    def is_speculative(self) -> bool:
-        snap = self._snap
-        if snap is not None:
-            return snap.state.speculative
-        return self.cache._store.state[self._slot] >= CODE_SM
-
-    def is_dirty(self) -> bool:
-        return self.state.dirty
-
-    def copy_data(self) -> List[int]:
-        """A defensive copy of the line's words (new versions must not alias)."""
-        return list(self.data)
-
-    # -- tag mutation funnel --------------------------------------------
-
-    def retag(self, state: State, mod_vid: int, high_vid: int) -> None:
-        snap = self._snap
-        if snap is not None:
-            snap.retag(state, mod_vid, high_vid)
-            return
-        self.cache._retag_slot(self._slot, state.code, mod_vid, high_vid)
-
-    def set_state(self, state: State) -> None:
-        self.retag(state, self.mod_vid, self.high_vid)
-
-    def set_vids(self, mod_vid: int, high_vid: int) -> None:
-        self.retag(self.state, mod_vid, high_vid)
-
-    # -- detachment (owning cache only) ---------------------------------
-
-    def _detach(self, record: CacheLine) -> None:
-        self._snap = record
-        self.cache = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

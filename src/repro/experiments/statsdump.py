@@ -131,7 +131,6 @@ def collect_stats(result) -> List[Section]:
         sections.append(("directory", [
             ("lookups", dir_stats.lookups),
             ("probes_sent", dir_stats.probes_sent),
-            ("stale_probes", dir_stats.stale_probes),
             ("invalidations_sent", dir_stats.invalidations_sent),
             ("bank_wait_cycles", dir_stats.bank_wait_cycles),
         ]))

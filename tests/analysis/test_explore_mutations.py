@@ -8,8 +8,9 @@ same failure from scratch — the committed-regression contract.
 
 import pytest
 
-from repro.analysis.explore import (EXPECTED_INJECTION_RULES, INJECTION_SHAPES,
-                                    INJECTIONS, explore_pass,
+from repro.analysis.explore import (EXPECTED_INJECTION_RULES, EXPLORE_PRESETS,
+                                    INJECTION_SHAPES, INJECTIONS, SHAPES,
+                                    Explorer, explore_pass,
                                     replay_counterexample)
 
 CASES = [(inject, shape) for inject in sorted(INJECTIONS)
@@ -64,3 +65,15 @@ def test_every_rule_is_killed_by_some_mutation():
     for inject in INJECTIONS:
         covered |= EXPECTED_INJECTION_RULES[inject]
     assert covered == {"EX001", "EX002", "EX003", "EX004"}
+
+
+@pytest.mark.parametrize("shape", [s for s in SHAPES if s != "flat-spill"])
+def test_broken_spill_survives_shapes_that_never_spill(shape):
+    # Only the flat-spill shape evicts speculative versions past its LLC,
+    # so a spill bug is invisible everywhere else: the shape earns its
+    # place in the mutation-kill gate.
+    assert INJECTION_SHAPES["broken-spill"] == ("flat-spill",)
+    explorer = Explorer(EXPLORE_PRESETS["small"], shape,
+                        inject="broken-spill")
+    assert explorer.run() == []
+    assert explorer.exhausted

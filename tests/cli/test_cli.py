@@ -38,6 +38,18 @@ class TestCli:
         assert main(["run", "ispell", "--scale", "0.3", "--trace"]) == 0
         assert "event counts" in capsys.readouterr().out
 
+    def test_every_listed_system_is_accepted_by_run(self, capsys):
+        assert main(["list"]) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("systems"))
+        systems = [name.strip() for name in line.split(":", 1)[1].split(",")]
+        assert "oracle" in systems
+        for system in systems:
+            assert main(["run", "ispell", "--system", system,
+                         "--scale", "0.25"]) == 0, system
+            assert "matches sequential semantics" in \
+                capsys.readouterr().out, system
+
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "999.nope"])

@@ -96,8 +96,9 @@ def run_ops(hierarchy, ops: List[Op], eager: bool = False) -> List[Optional[int]
                 observed.append(-2)     # conflict marker
         if eager:
             for cache in hierarchy._all_caches():
-                for line in list(cache.all_lines()):
-                    cache.process_lazy(line)
+                for slots in list(cache._sets.values()):
+                    for slot in list(slots):
+                        cache._process_lazy_slot(slot)
     return observed
 
 

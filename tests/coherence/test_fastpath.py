@@ -64,9 +64,9 @@ class TestVersionIndex:
     def test_holds_tracks_presence(self):
         cache = make_cache()
         assert not cache.holds(0x44)
-        cache.install(line(0x40, State.EXCLUSIVE))
+        slot = cache.install_slot(line(0x40, State.EXCLUSIVE))[0]
         assert cache.holds(0x44)          # any address within the line
-        cache.drop(cache.versions(0x40)[0])
+        cache._remove_slot(slot)
         assert not cache.holds(0x40)
 
     def test_index_survives_replacement_and_eviction(self):
@@ -79,12 +79,20 @@ class TestVersionIndex:
 
     def test_speculative_counter_follows_retags(self):
         cache = make_cache()
-        cache.install(line(0x40, State.SM, 2, 2))
+        slot = cache.install_slot(line(0x40, State.SM, 2, 2))[0]
         assert cache.speculative_lines == 1
-        resident = cache.versions(0x40)[0]
-        resident.retag(State.MODIFIED, 0, 0)
+        cache._retag_slot(slot, State.MODIFIED.code, 0, 0)
         assert cache.speculative_lines == 0
         cache.check_index_integrity()
+
+    def test_snapshots_are_detached(self):
+        cache = make_cache()
+        cache.install(line(0x40, State.SM, 2, 2))
+        snapshot = cache.versions(0x40)[0]
+        snapshot.retag(State.MODIFIED, 0, 0)  # detached: plain assignment
+        assert snapshot.cache is None
+        assert cache.speculative_lines == 1
+        assert cache.lookup(0x40, 3).state is State.SM
 
     def test_detached_line_retag_is_safe(self):
         free = line(0x40, State.SM, 1, 1)

@@ -117,11 +117,18 @@ def apply_op(cache, op):
     if kind == "has_latest_spec":
         return cache.has_latest_spec_version(op[1])
     if kind == "drop_hit":
-        hit = cache.lookup(op[1], op[2])
-        if hit is None:
+        if isinstance(cache, LegacyVersionedCache):
+            hit = cache.lookup(op[1], op[2])
+            if hit is None:
+                return None
+            cache.drop(hit)
+            return canon(hit)
+        slot = cache.lookup_slot(cache.line_addr(op[1]), op[2])
+        if slot is None:
             return None
-        cache.drop(hit)
-        return canon(hit)
+        record = cache._make_record(slot)
+        cache._remove_slot(slot)
+        return canon(record)
     if kind == "commit":
         return cache.broadcast_commit(op[1])
     if kind == "abort":

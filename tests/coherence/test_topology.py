@@ -298,12 +298,14 @@ class TestStructurePass:
         assert any(f.rule == "MC009" for f in report.findings)
 
     def test_dropped_sharer_entry_yields_mc010(self):
+        # The directory's sharer set is the presence map: an install that
+        # loses its presence entry must surface as MC010.
         class BrokenSharers(DirectoryHierarchy):
             def _install(self, cache, line):
-                view = super()._install(cache, line)
+                slot = super()._install(cache, line)
                 if cache.name == "L1[3]":
-                    self._sharers.get(line.addr, set()).discard(cache.name)
-                return view
+                    self._holders.get(line.addr, set()).discard(cache)
+                return slot
 
         report = check_topology_structure(
             hierarchy_factory=lambda: BrokenSharers(_small_two_socket()))

@@ -67,6 +67,39 @@ class TestDirectoryAcrossSuite:
         assert _verify(workload, result)
 
 
+class TestDirectorySpillRegression:
+    """Directory coherence x unbounded sets: spilled versions stay visible.
+
+    A version spilled into the section 8 overflow table must appear in the
+    directory's sharer set; otherwise a miss never probes the table and
+    memory serves stale data (``correct=False`` with zero aborts).  The
+    small LLCs force the spills.
+    """
+
+    @pytest.mark.parametrize("l2_assoc", [1, 2, 4])
+    def test_ispell_is_correct_when_the_llc_spills(self, monkeypatch,
+                                                   l2_assoc):
+        from repro.experiments import engine
+
+        hierarchies = []
+        real_snapshot = engine.snapshot
+
+        def capture(request, workload, result, *args, **kwargs):
+            hierarchies.append(result.system.hierarchy)
+            return real_snapshot(request, workload, result, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "snapshot", capture)
+        machine = MachineConfig(num_cores=2, coherence="directory",
+                                unbounded_sets=True, l2_assoc=l2_assoc)
+        record = engine.execute_request(engine.RunRequest(
+            "ispell", "hmtx", scale=0.25, machine=machine))
+        assert record.correct
+        (hierarchy,) = hierarchies
+        assert hierarchy.stats.spec_overflow_spills > 0
+        hierarchy.check_invariants()
+        hierarchy.check_directory_invariant()
+
+
 class TestUnboundedSetsAcrossSuite:
     def test_bzip2_on_small_caches(self):
         """The big-set benchmark on caches far too small for it."""
