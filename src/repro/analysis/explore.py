@@ -930,19 +930,19 @@ def _inject_broken_forward(run: _Run) -> None:
         _broken_forward_receive, hierarchy)
 
 
-def _broken_presence_on(self, cache, base, present):
+def _broken_presence_add(self, slot) -> None:
     # Drops presence-map additions; removals still land.
-    if present:
-        return
-    MemoryHierarchy._on_presence(self, cache, base, present)
+    presence = self.presence
+    self.presence = None
+    try:
+        VersionedCache._index_add_slot(self, slot)
+    finally:
+        self.presence = presence
 
 
 def _inject_broken_presence(run: _Run) -> None:
-    hierarchy = run.hierarchy
-    hierarchy._on_presence = types.MethodType(_broken_presence_on, hierarchy)
-    # The caches captured the bound listener at construction: repoint it.
-    for cache in hierarchy._caches:
-        cache.presence_listener = hierarchy._on_presence
+    for cache in run.hierarchy._caches:
+        cache._index_add_slot = types.MethodType(_broken_presence_add, cache)
 
 
 def _broken_spill(self, line) -> None:
@@ -950,12 +950,12 @@ def _broken_spill(self, line) -> None:
     # map (the table still announces later removals): the directory's
     # sharer set then misses the spilled version, so a miss never probes
     # the table and memory serves stale data.
-    listener = self.presence_listener
-    self.presence_listener = None
+    presence = self.presence
+    self.presence = None
     try:
         OverflowVersionTable.spill(self, line)
     finally:
-        self.presence_listener = listener
+        self.presence = presence
 
 
 def _inject_broken_spill(run: _Run) -> None:

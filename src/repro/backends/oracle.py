@@ -127,7 +127,7 @@ class OracleTMSystem(BufferedTM):
     def load(self, tid: int, addr: int, now: int = 0) -> AccessResult:
         ctx = self.contexts[tid]
         vid = ctx.vid
-        value, _ = self._read_with_source(vid, addr)
+        value = self.memory.read(vid, addr)
         latency = self.timing.load(ctx.core, addr, 0, now=now).latency
         if vid > 0:
             self.stats.record_load(vid, addr, sla_sent=False)

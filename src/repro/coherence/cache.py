@@ -36,15 +36,15 @@ optimisations, invisible to the modelled protocol:
   lines (Figure 9 footprint) and of live ``S-M(modVID>0)`` lines (the
   section 5.4 "speculatively modified" assertion), kept exact through the
   :meth:`_retag_slot` mutation funnel;
-* an optional **presence listener** through which the hierarchy maintains
-  its ``address -> holding caches`` map, replacing scan-every-cache snoops
-  with index lookups.
+* an optional shared **presence map** (``address -> holding caches``) the
+  cache enters itself in on a line's first version and leaves on its last,
+  so the hierarchy's snoops replace scan-every-cache with index lookups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .line import CacheLine
 from .protocol import (
@@ -62,6 +62,11 @@ from .states import (
 )
 from .store import FREE_CODE, LineStore
 from .vid import CascadedComparator
+
+
+#: An evicted version's columns: ``(addr, state_code, data, mod_vid,
+#: high_vid, seen_aborts, lru_tick, epoch)``; ``data`` moves, uncopied.
+Victim = Tuple[int, int, List[int], int, int, int, int, int]
 
 
 @dataclass
@@ -89,23 +94,16 @@ _PRIORITY_SPEC_SHARED = 3       # S-S: silently droppable peer copies
 _PRIORITY_SPEC_OVERFLOWABLE = 4  # S-O with modVID == 0: may go to memory
 _PRIORITY_SPEC_PINNED = 5        # eviction past the LLC aborts
 
-# Precomputed per-state priority (S-O is the one state whose class also
-# depends on modVID; victim_priority special-cases it).
-State.INVALID.victim_class = _PRIORITY_INVALID
-State.SHARED.victim_class = _PRIORITY_CLEAN_NONSPEC
-State.EXCLUSIVE.victim_class = _PRIORITY_CLEAN_NONSPEC
-State.OWNED.victim_class = _PRIORITY_DIRTY_NONSPEC
-State.MODIFIED.victim_class = _PRIORITY_DIRTY_NONSPEC
-State.SS.victim_class = _PRIORITY_SPEC_SHARED
-State.SO.victim_class = _PRIORITY_SPEC_PINNED
-State.SM.victim_class = _PRIORITY_SPEC_PINNED
-State.SE.victim_class = _PRIORITY_SPEC_PINNED
-
-#: State code -> victim priority class (S-O with modVID == 0 is the one
-#: code whose class the sweep special-cases to overflowable).
-_VICTIM_CLASS_BY_CODE = bytes(
-    STATE_FROM_CODE[code].victim_class for code in range(len(STATE_FROM_CODE))
-)
+#: State code -> victim priority class.  S-O is the one state whose class
+#: also depends on modVID: with modVID == 0 it is overflowable, which
+#: victim_priority and the victim sweep special-case.
+_VICTIM_CLASS_BY_CODE = bytes((
+    _PRIORITY_INVALID,                                  # INVALID
+    _PRIORITY_CLEAN_NONSPEC, _PRIORITY_CLEAN_NONSPEC,   # S, E
+    _PRIORITY_DIRTY_NONSPEC, _PRIORITY_DIRTY_NONSPEC,   # O, M
+    _PRIORITY_SPEC_PINNED, _PRIORITY_SPEC_PINNED,       # S-M, S-E
+    _PRIORITY_SPEC_PINNED, _PRIORITY_SPEC_SHARED,       # S-O, S-S
+))
 
 
 def victim_priority(line) -> int:
@@ -113,7 +111,7 @@ def victim_priority(line) -> int:
     state = line.state
     if state is State.SO and line.mod_vid == 0:
         return _PRIORITY_SPEC_OVERFLOWABLE
-    return state.victim_class
+    return _VICTIM_CLASS_BY_CODE[state.code]
 
 
 class VersionedCache:
@@ -169,9 +167,11 @@ class VersionedCache:
         #: Maintained counters backing the snoop filters.
         self._spec_lines = 0
         self._sm_live = 0
-        #: Hierarchy hook: called ``(cache, base, present)`` when this cache
-        #: gains its first / loses its last version of a line address.
-        self.presence_listener: Optional[Callable] = None
+        #: The hierarchy's presence map (``line address -> caches holding
+        #: any version``), shared by every cache of one machine; this cache
+        #: enters itself on its first version of a line and leaves on its
+        #: last.  ``None`` for a cache outside any hierarchy.
+        self.presence: Optional[Dict[int, Set[VersionedCache]]] = None
         # Precomputed address masks.  A set count that is not a power of
         # two is legitimate (a 3 MB 16-way LLC has 3072) and takes a modulo.
         self._offset_mask = line_size - 1
@@ -224,8 +224,8 @@ class VersionedCache:
         bucket = self._by_base.get(base)
         if bucket is None:
             bucket = self._by_base[base] = []
-            if self.presence_listener is not None:
-                self.presence_listener(self, base, True)
+            if self.presence is not None:
+                self.presence.setdefault(base, set()).add(self)
         bucket.append(slot)
         code = store.state[slot]
         if code >= CODE_SM:
@@ -241,8 +241,13 @@ class VersionedCache:
         bucket.remove(slot)
         if not bucket:
             del self._by_base[base]
-            if self.presence_listener is not None:
-                self.presence_listener(self, base, False)
+            presence = self.presence
+            if presence is not None:
+                holders = presence.get(base)
+                if holders is not None:
+                    holders.discard(self)
+                    if not holders:
+                        del presence[base]
         code = store.state[slot]
         if code >= CODE_SM:
             self._spec_lines -= 1
@@ -442,6 +447,13 @@ class VersionedCache:
             return None
         return self._make_record(slot)
 
+    def would_mark(self, addr: int, req_vid: int) -> bool:
+        """Would a speculative ``req_vid`` load mark (SLA, 5.1) its hit?"""
+        slot = self.lookup_slot(self.line_addr(addr), req_vid)
+        store = self._store
+        return (slot is None or store.state[slot] < CODE_SM
+                or store.high_vid[slot] < req_vid)
+
     def has_latest_spec_version(self, addr: int) -> bool:
         """Is there an ``S-M`` version asserting "speculatively modified"?
 
@@ -483,54 +495,57 @@ class VersionedCache:
     # Installation and eviction
     # ------------------------------------------------------------------
 
-    def install_slot(self, line: CacheLine) -> Tuple[int, List[CacheLine]]:
-        """Insert a version, evicting as needed; struct-of-arrays core.
+    def install_slot(self, base: int, code: int, data: List[int],
+                     mod_vid: int, high_vid: int,
+                     ) -> Tuple[int, List[Victim]]:
+        """Insert a version given as columns, evicting as needed.
 
-        An existing version with the same ``(addr, modVID)`` is replaced
-        (it is the same conceptual version, e.g. a stale shared copy).
-        Returns the new slot and the evicted lines as detached records;
-        the hierarchy decides whether they are written back, passed down a
-        level, overflowed to memory, or force an abort (section 5.4).
+        ``data`` is taken over, not copied.  An existing version with the
+        same ``(addr, modVID)`` is replaced (it is the same conceptual
+        version, e.g. a stale shared copy).  Returns the new slot and the
+        evicted versions as :data:`Victim` tuples; the hierarchy decides
+        whether they are written back, passed down a level, overflowed to
+        memory, or force an abort (section 5.4).
         """
         store = self._store
-        base = line.addr
-        spec = line.state.speculative
-        mod = line.mod_vid
         bucket = self._by_base.get(base)
         if bucket:
+            spec = code >= CODE_SM
             state_col = store.state
             mod_col = store.mod_vid
             for slot in list(bucket):
-                if mod_col[slot] == mod and (state_col[slot] >= CODE_SM) == spec:
+                if mod_col[slot] == mod_vid \
+                        and (state_col[slot] >= CODE_SM) == spec:
                     self._remove_slot(slot)
         index = self.set_index(base)
         slots = self._set_list(index)
-        evicted: List[CacheLine] = []
+        evicted: List[Victim] = []
         epoch = self._epoch
-        while True:
-            # Resolve pending lazy transitions first: committed/aborted
-            # versions may free slots without any real eviction.  Skipped
-            # when the whole set is epoch-current — the replay would be a
-            # no-op for every line.
-            if self._set_epochs.get(index) != epoch:
-                process = self._process_lazy_slot
-                for candidate in list(slots):
-                    process(candidate)
-                self._set_epochs[index] = epoch
-            if len(slots) < self.assoc:
-                break
+        # Resolve pending lazy transitions first: committed/aborted
+        # versions may free slots without any real eviction.  Skipped when
+        # the whole set is epoch-current — the replay would be a no-op for
+        # every line.
+        if self._set_epochs.get(index) != epoch:
+            process = self._process_lazy_slot
+            for candidate in list(slots):
+                process(candidate)
+            self._set_epochs[index] = epoch
+        while len(slots) >= self.assoc:
             victim = self._choose_victim_slot(slots)
             slots.remove(victim)
             self._index_remove_slot(victim)
-            was_invalid = store.state[victim] == CODE_INVALID
-            evicted.append(self._make_record(victim))
+            victim_code = store.state[victim]
+            evicted.append((store.addr[victim], victim_code,
+                            store.data[victim], store.mod_vid[victim],
+                            store.high_vid[victim], store.seen_aborts[victim],
+                            store.lru_tick[victim], store.epoch[victim]))
             store.release(victim)
-            if not was_invalid:
+            if victim_code != CODE_INVALID:
                 # An INVALID fallback victim never really left the
                 # hierarchy; counting it would pollute the Table 1 /
                 # ablation eviction numbers.
                 self.stats.evictions += 1
-        slot = store.alloc(base, line.state.code, line.data, mod, line.high_vid)
+        slot = store.alloc(base, code, data, mod_vid, high_vid)
         # A freshly installed line has no pending events in *this* cache.
         store.seen_aborts[slot] = len(self._abort_history)
         store.epoch[slot] = epoch
@@ -541,9 +556,16 @@ class VersionedCache:
         return slot, evicted
 
     def install(self, line: CacheLine) -> List[CacheLine]:
-        """Insert a version, evicting as needed; returns the evicted lines."""
-        _, evicted = self.install_slot(line)
-        return evicted
+        """Record-taking :meth:`install_slot`; victims come back as records."""
+        _, evicted = self.install_slot(line.addr, line.state.code, line.data,
+                                       line.mod_vid, line.high_vid)
+        records = []
+        for addr, code, data, mod, high, seen, tick, epoch in evicted:
+            record = CacheLine(addr, STATE_FROM_CODE[code], data, mod, high,
+                               seen, tick)
+            record.epoch = epoch
+            records.append(record)
+        return records
 
     def _choose_victim_slot(self, slots: List[int]) -> int:  # hot-path
         """LRU within the lowest occupied priority class (section 5.4).

@@ -12,7 +12,7 @@ directory co-located with the L2:
   (``_holders``): a cache appears iff it holds a version of the line, the
   memory-side overflow table of section 8 included.  Every install path,
   a §8 spill as much as an ordinary fill, updates it through the caches'
-  presence listeners, so there is no second copy to fall out of step;
+  shared presence map, so there is no second copy to fall out of step;
 * a miss consults the line's home **bank** (address-interleaved, each with
   its own occupancy window) and probes only the line's holders, in name
   order, instead of broadcasting, so misses to different banks proceed in
@@ -192,7 +192,7 @@ class DirectoryHierarchy(MemoryHierarchy):
             return slot, latency, cache.name
         # Memory responds through the home bank.
         latency += self.config.memory_latency
-        slot = self._fill_from_memory(l1, addr, vid, spec_modified_asserted)
+        slot = self._fill_from_memory(l1, base, vid, spec_modified_asserted)
         return slot, latency, "memory"
 
     # ------------------------------------------------------------------

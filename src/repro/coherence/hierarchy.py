@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..errors import MisspeculationError, SpeculativeOverflowError
 from ..topology import TopologySpec
 from ..txctl.causes import AbortCause
-from .cache import VersionedCache
+from .cache import Victim, VersionedCache
 from .line import CacheLine
 from .memory import MainMemory
 from .overflow import OverflowVersionTable
@@ -47,6 +47,7 @@ from .states import (
     CODE_SE,
     CODE_SHARED,
     CODE_SM,
+    CODE_SO,
     CODE_SS,
     DIRTY_BY_CODE,
     STATE_FROM_CODE,
@@ -225,29 +226,21 @@ class MemoryHierarchy:
         #: Simulated time at which the shared bus next becomes free.
         self._bus_free = 0
         #: Presence (snoop-filter) map: line address -> caches holding any
-        #: version of it.  Maintained *exactly* via the per-cache presence
-        #: listeners — a cache appears iff it currently holds a version —
-        #: so snoops, invalidations and scrubs only touch holding caches
-        #: (DESIGN.md, "Fast-path indexing").
+        #: version of it.  Maintained *exactly* by the caches themselves,
+        #: which share it — a cache appears iff it currently holds a
+        #: version — so snoops, invalidations and scrubs only touch holding
+        #: caches (DESIGN.md, "Fast-path indexing").
         self._holders: Dict[int, Set[VersionedCache]] = {}
         # Precomputed cache orderings: the bus snoop / broadcast orders are
         # fixed at construction, so the hot paths iterate tuples instead of
         # rebuilding lists per access.
-        self._caches: Tuple[VersionedCache, ...] = ()
-        self._peer_lists: List[Tuple[VersionedCache, ...]] = []
-        self._rebuild_cache_lists()
-        # Word-index shift for the fused access path (MainMemory rejects a
-        # word size that is not a power of two).
-        self._word_shift = self.memory.word_size.bit_length() - 1
-        for cache in self._caches:
-            cache.presence_listener = self._on_presence
-
-    def _rebuild_cache_lists(self) -> None:
         caches: List[VersionedCache] = list(self.l1s) + list(self.llc_slices)
         if self.overflow_table is not None:
             caches.append(self.overflow_table)
-        self._caches = tuple(caches)
-        self._peer_lists = []
+        self._caches: Tuple[VersionedCache, ...] = tuple(caches)
+        for cache in caches:
+            cache.presence = self._holders
+        self._peer_lists: List[Tuple[VersionedCache, ...]] = []
         for core in range(len(self.l1s)):
             peers = [c for i, c in enumerate(self.l1s) if i != core]
             peers.extend(self.llc_slices)
@@ -256,6 +249,9 @@ class MemoryHierarchy:
                 # plus the software-structure management cost.
                 peers.append(self.overflow_table)
             self._peer_lists.append(tuple(peers))
+        # Word-index shift for the fused access path (MainMemory rejects a
+        # word size that is not a power of two).
+        self._word_shift = self.memory.word_size.bit_length() - 1
 
     # ------------------------------------------------------------------
     # Topology helpers
@@ -281,21 +277,6 @@ class MemoryHierarchy:
         if owner is None:
             owner = self._topo.home_socket(base, self.config.line_size)
         return self._topo.hop_latency(req, owner)
-
-    def _on_presence(self, cache: VersionedCache, base: int,
-                     present: bool) -> None:
-        """Presence-listener callback from the caches (first add/last drop)."""
-        if present:
-            holders = self._holders.get(base)
-            if holders is None:
-                holders = self._holders[base] = set()
-            holders.add(cache)
-        else:
-            holders = self._holders.get(base)
-            if holders is not None:
-                holders.discard(cache)
-                if not holders:
-                    del self._holders[base]
 
     def _bus_transaction(self, now: int) -> int:
         """Acquire the shared bus at time ``now``; returns wait + occupancy.
@@ -356,14 +337,16 @@ class MemoryHierarchy:
         line is marked with its VID.  Returns ``(value, latency)``.
         """
         l1 = self.l1s[core]
-        hit = l1.lookup(addr, vid)
-        if hit is not None:
-            return hit.data[self._word(addr)], l1.hit_latency
+        base = l1.line_addr(addr)
+        word = self._word(addr)
+        slot = l1.lookup_slot(base, vid)
+        if slot is not None:
+            return l1._store.data[slot][word], l1.hit_latency
         latency = l1.hit_latency + self._llc_latency
-        for cache in self._peer_caches(core):
-            line = cache.lookup(addr, vid)
-            if line is not None and line.state is not State.SS:
-                return line.data[self._word(addr)], latency
+        for cache in self._peer_lists[core]:
+            slot = cache.lookup_slot(base, vid)
+            if slot is not None and cache._store.state[slot] != CODE_SS:
+                return cache._store.data[slot][word], latency
         return self.memory.read_word(addr), latency + self.config.memory_latency
 
     # ------------------------------------------------------------------
@@ -466,9 +449,6 @@ class MemoryHierarchy:
 
     def _all_caches(self) -> List[VersionedCache]:
         return list(self._caches)
-
-    def _peer_caches(self, core: int) -> Tuple[VersionedCache, ...]:
-        return self._peer_lists[core]
 
     def _access(self, core: int, addr: int, vid: int, kind: AccessKind,
                 value: Optional[int], now: int = 0) -> AccessResult:  # hot-path
@@ -648,7 +628,7 @@ class MemoryHierarchy:
         spec_modified_asserted = l1.has_latest_spec_version(addr)
         holders = self._holders.get(base)
         if holders:
-            for cache in self._peer_caches(core):
+            for cache in self._peer_lists[core]:
                 if cache not in holders:
                     continue
                 if cache.has_latest_spec_version(addr):
@@ -672,15 +652,14 @@ class MemoryHierarchy:
         if self._multi_socket:
             # Memory is reached through the line's home socket's controller.
             latency += self._numa_hop(core, None, base)
-        slot = self._fill_from_memory(l1, addr, vid, spec_modified_asserted)
+        slot = self._fill_from_memory(l1, base, vid, spec_modified_asserted)
         return slot, latency, "memory"
 
-    def _fill_from_memory(self, l1: VersionedCache, addr: int, vid: int,
+    def _fill_from_memory(self, l1: VersionedCache, base: int, vid: int,
                           spec_modified_asserted: bool) -> int:
-        """Install memory's copy of the line in ``l1``; returns its slot."""
+        """Install memory's copy of line ``base`` in ``l1``; returns its slot."""
         self.stats.memory_fetches += 1
-        data = self.memory.read_line(addr)
-        base = l1.line_addr(addr)
+        data = self.memory.read_line(base)
         if spec_modified_asserted:
             # Section 5.4: an S-M copy asserted "speculatively modified" but
             # could not serve this VID, so the non-speculative backup must
@@ -689,11 +668,9 @@ class MemoryHierarchy:
             # E copy while a live S-M exists would shadow the speculative
             # version for later VIDs.)
             self.stats.overflow_retrievals += 1
-            line = CacheLine(base, State.SO, data, 0,
-                             l1.effective_vid(vid) + 1)
-        else:
-            line = CacheLine(base, State.EXCLUSIVE, data)
-        return self._install(l1, line)
+            return self._install(l1, base, CODE_SO, data, 0,
+                                 l1.effective_vid(vid) + 1)
+        return self._install(l1, base, CODE_EXCLUSIVE, data, 0, 0)
 
     def _receive_from_owner(self, core: int, owner_cache: VersionedCache,
                             owner: int, vid: int, kind: AccessKind) -> int:
@@ -717,15 +694,14 @@ class MemoryHierarchy:
                 # access: every non-speculative copy of the line is
                 # invalidated and the line migrates (Figure 4's entry arcs).
                 self._invalidate_nonspec_everywhere(base)
-                state = (State.MODIFIED if DIRTY_BY_CODE[code]
-                         else State.EXCLUSIVE)
-                return self._install(l1, CacheLine(base, state, data))
+                code = CODE_MODIFIED if DIRTY_BY_CODE[code] else CODE_EXCLUSIVE
+                return self._install(l1, base, code, data, 0, 0)
             # Plain non-speculative read sharing: MOESI read hit.
             if code == CODE_MODIFIED:
                 owner_cache._retag_slot(owner, CODE_OWNED, mod, high)
             elif code == CODE_EXCLUSIVE:
                 owner_cache._retag_slot(owner, CODE_SHARED, mod, high)
-            return self._install(l1, CacheLine(base, State.SHARED, data))
+            return self._install(l1, base, CODE_SHARED, data, 0, 0)
         state = STATE_FROM_CODE[code]
         if kind is AccessKind.READ:
             # Uncommitted value forwarding across caches: the requester gets
@@ -741,8 +717,7 @@ class MemoryHierarchy:
                 copy_high = eff + 1 if vid > 0 else high
             else:
                 copy_high = high
-            return self._install(l1, CacheLine(base, State.SS, data, mod,
-                                               copy_high))
+            return self._install(l1, base, CODE_SS, data, mod, copy_high)
         # A write served by a remote speculative version: decide abort /
         # in-place migration / new version here, where both copies are
         # visible.  Non-speculative writes that land on a live speculative
@@ -756,13 +731,11 @@ class MemoryHierarchy:
             # migrates wholesale (speculative threads may move between
             # cores, section 5.2).
             owner_cache._remove_slot(owner)
-            return self._install(l1, CacheLine(base, state, data, mod,
-                                               max(high, eff)))
+            return self._install(l1, base, code, data, mod, max(high, eff))
         plan = plan_new_version(state, mod, high, eff)
         owner_cache._retag_slot(owner, plan.old_state.code, *plan.old_vids)
         l1.stats.version_copies += 1
-        return self._install(l1, CacheLine(base, State.SM, data,
-                                           *plan.new_vids))
+        return self._install(l1, base, CODE_SM, data, *plan.new_vids)
 
     def _apply(self, core: int, slot: int, addr: int, vid: int,
                kind: AccessKind, value: Optional[int], latency: int,
@@ -819,10 +792,10 @@ class MemoryHierarchy:
         plan = plan_new_version(state, mod, high, eff)
         data = list(store.data[slot])
         data[word] = value
-        new_line = CacheLine(store.addr[slot], State.SM, data, *plan.new_vids)
+        base = store.addr[slot]
         l1._retag_slot(slot, plan.old_state.code, *plan.old_vids)
         l1.stats.version_copies += 1
-        self._install(l1, new_line)
+        self._install(l1, base, CODE_SM, data, *plan.new_vids)
         return AccessResult(value, latency, l1_hit, served_by,
                             created_version=True)
 
@@ -933,52 +906,54 @@ class MemoryHierarchy:
     # Eviction handling
     # ------------------------------------------------------------------
 
-    def _install(self, cache: VersionedCache, line: CacheLine) -> int:
-        """Install ``line`` and handle its victims; returns the new slot.
+    def _install(self, cache: VersionedCache, base: int, code: int,
+                 data: List[int], mod_vid: int, high_vid: int) -> int:
+        """Install a version given as columns; handle its victims.
 
-        ``line`` is an in-flight record — once installed, the version lives
-        in the cache's slot arena, so callers that keep mutating it (retags,
-        data writes) must do it through the returned slot.  Victims only
-        ever move *down* the hierarchy, so the slot is still live when this
-        returns.
+        Returns the new slot.  ``data`` is handed over, not copied: the
+        caller must not keep writing to it except through the returned
+        slot.  Victims only ever move *down* the hierarchy, so the slot is
+        still live when this returns.
         """
-        slot, evicted = cache.install_slot(line)
+        slot, evicted = cache.install_slot(base, code, data, mod_vid,
+                                           high_vid)
         for victim in evicted:
             self._handle_victim(cache, victim)
         return slot
 
-    def _handle_victim(self, cache: VersionedCache, victim: CacheLine) -> None:
-        if victim.state is State.INVALID:
+    def _handle_victim(self, cache: VersionedCache, victim: Victim) -> None:
+        base, code, data, mod, high, _, _, _ = victim
+        if code == CODE_INVALID:
             return
         if cache not in self._llc_group:
             # L1 victim: S-S peer copies are silently droppable; clean
             # non-speculative lines need no writeback; everything else moves
             # down to the line's home LLC slice "as normal" (section 4.1) —
-            # the single shared L2 on a flat machine.
-            if victim.state in (State.SS, State.SHARED, State.EXCLUSIVE):
+            # the single shared L2 on a flat machine, word list and all.
+            if code in (CODE_SS, CODE_SHARED, CODE_EXCLUSIVE):
                 return
-            self._install(self._home_llc(victim.addr), victim)
+            self._install(self._home_llc(base), base, code, data, mod, high)
             return
         # Last-level cache victim: section 5.4 rules.
-        if victim.state in (State.MODIFIED, State.OWNED):
-            self.memory.write_line(victim.addr, victim.data)
+        if code in (CODE_MODIFIED, CODE_OWNED):
+            self.memory.write_line(base, data)
             return
-        if victim.state in (State.SHARED, State.EXCLUSIVE, State.SS):
+        if code in (CODE_SHARED, CODE_EXCLUSIVE, CODE_SS):
             return
-        if victim.state is State.SO and victim.mod_vid == 0:
+        if code == CODE_SO and mod == 0:
             # The non-speculative backup may overflow to memory; the S-M
             # assertion path of _fetch retrieves it if needed again.
             self.stats.nonspec_overflows += 1
-            self.memory.write_line(victim.addr, victim.data)
+            self.memory.write_line(base, data)
             return
+        state = STATE_FROM_CODE[code]
         if self.overflow_table is not None:
             # Section 8 extension: spill the speculative version into the
             # memory-side table instead of aborting.
             self.stats.spec_overflow_spills += 1
-            self.overflow_table.spill(victim)
+            self.overflow_table.spill(CacheLine(base, state, data, mod, high))
             return
         raise SpeculativeOverflowError(
-            f"speculative version {victim.state}({victim.mod_vid},"
-            f"{victim.high_vid}) of 0x{victim.addr:x} evicted past the LLC",
-            vid=victim.mod_vid, addr=victim.addr,
-            cause=AbortCause.CAPACITY_OVERFLOW)
+            f"speculative version {state}({mod},{high}) of 0x{base:x} "
+            f"evicted past the LLC",
+            vid=mod, addr=base, cause=AbortCause.CAPACITY_OVERFLOW)

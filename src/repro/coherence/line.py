@@ -59,7 +59,7 @@ class CacheLine:
     HMTX materialises multiple memory versions (section 4.1).
 
     State and VID changes on an installed line must go through
-    :meth:`retag`/:meth:`set_state`/:meth:`set_vids` so the owning cache's
+    :meth:`retag`/:meth:`set_vids` so the owning cache's
     maintained counters (speculative footprint, live ``S-M`` filter) stay
     exact; ``high_vid`` alone may be assigned directly since no filter
     depends on it.
@@ -116,10 +116,6 @@ class CacheLine:
         self.state = state
         self.mod_vid = mod_vid
         self.high_vid = high_vid
-
-    def set_state(self, state: State) -> None:
-        """Change the coherence state, keeping VIDs."""
-        self.retag(state, self.mod_vid, self.high_vid)
 
     def set_vids(self, mod_vid: int, high_vid: int) -> None:
         self.retag(self.state, mod_vid, high_vid)

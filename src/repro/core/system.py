@@ -340,9 +340,8 @@ class HMTXSystem:
         if self.sla.enabled or ctx.vid == 0:
             value, latency = self.hierarchy.peek(ctx.core, addr, ctx.vid)
             if ctx.vid > 0:
-                hit = self.hierarchy.l1s[ctx.core].lookup(addr, ctx.vid)
-                would_mark = (hit is None or not hit.is_speculative()
-                              or hit.high_vid < ctx.vid)
+                would_mark = self.hierarchy.l1s[ctx.core].would_mark(
+                    addr, ctx.vid)
                 self.sla.record_wrong_path(addr, ctx.vid, would_mark)
             return value, latency
         result = self.hierarchy.load(ctx.core, addr, ctx.vid)

@@ -28,9 +28,11 @@ import argparse
 import json
 import pathlib
 import platform
+import sys
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
+from ..errors import ReproError
 from ..workloads.contended import CapacityHogWorkload
 from ..workloads.suite import BENCHMARK_NAMES
 from .engine import RunRecord, RunRequest, SweepEngine, SweepSpec
@@ -85,9 +87,16 @@ def _best_of(engine: SweepEngine, request: RunRequest,
 
     Repeats are distinct requests (the ``repeat`` tag busts the engine
     cache) so each one is a fresh simulation with its own wall clock.
+    Raises :class:`ReproError` when any repeat returns a wrong result:
+    the throughput of a wrong run is not a measurement.
     """
     tagged = [replace(request, repeat=k) for k in range(max(1, repeat))]
     records = engine.run(tagged)
+    for record in records:
+        if not record.correct:
+            raise ReproError(
+                f"bench: {record.workload} on {record.system} at scale "
+                f"{record.scale} returned a wrong result; not timing it")
     return min(r.wall_seconds for r in records), records[0]
 
 
@@ -264,8 +273,12 @@ def main(argv=None) -> int:
         return 0
 
     engine = SweepEngine(jobs=args.jobs)
-    section = run_bench(quick=args.quick, repeat=args.repeat,
-                        jobs=args.jobs, engine=engine)
+    try:
+        section = run_bench(quick=args.quick, repeat=args.repeat,
+                            jobs=args.jobs, engine=engine)
+    except ReproError as err:
+        print(err, file=sys.stderr)
+        return 1
     history_note = None
     if args.history is not None:
         # Observed runs happen *after* every timed one, so attaching the

@@ -30,25 +30,33 @@ class SmtxMemory:
     # ------------------------------------------------------------------
 
     def read(self, vid: int, addr: int) -> int:
-        """Read as transaction ``vid`` (0 = committed state only).
+        """Read as transaction ``vid`` (0 = committed state only)."""
+        return self.read_with_source(vid, addr)[0]
+
+    def read_with_source(self, vid: int, addr: int) -> Tuple[int, int]:
+        """Read as ``vid``; also report whose buffer supplied the value.
 
         Searches the write buffers of VIDs ``<= vid`` from newest to oldest
-        — exactly the version a correctly-ordered MTX must observe.
+        — exactly the version a correctly-ordered MTX must observe — and
+        returns ``(value, source_vid)``, ``source_vid`` 0 meaning committed
+        state.
         """
-        word = self._word_addr(addr)
-        if vid > 0:
-            for buffer_vid in sorted(self._buffers, reverse=True):
-                if buffer_vid <= vid and word in self._buffers[buffer_vid]:
-                    return self._buffers[buffer_vid][word]
-        return self.backing.read_word(word)
+        buffers = self._buffers
+        if vid > 0 and buffers:
+            word = self._word_addr(addr)
+            for buffer_vid in sorted(buffers, reverse=True):
+                if buffer_vid <= vid:
+                    buffer = buffers[buffer_vid]
+                    if word in buffer:
+                        return buffer[word], buffer_vid
+        return self.backing.read_word(addr), 0
 
     def write(self, vid: int, addr: int, value: int) -> None:
         """Write as transaction ``vid`` (0 writes committed state)."""
-        word = self._word_addr(addr)
         if vid == 0:
-            self.backing.write_word(word, value)
+            self.backing.write_word(addr, value)
         else:
-            self._buffers.setdefault(vid, {})[word] = value
+            self._buffers.setdefault(vid, {})[self._word_addr(addr)] = value
 
     # ------------------------------------------------------------------
 

@@ -75,9 +75,10 @@ class BufferedTM:
 
     Both keep speculative values in per-VID :class:`SmtxMemory` buffers
     over a timing-only commodity hierarchy (``self.timing``), so thread
-    registration, kernel accesses, output buffering and forwarded reads
-    are the same code.  Subclasses set ``contexts``, ``memory``,
-    ``timing``, ``committed_output`` and ``observer``.
+    registration, kernel accesses and output buffering are the same code
+    (forwarded reads are :meth:`SmtxMemory.read_with_source`).  Subclasses
+    set ``contexts``, ``memory``, ``timing``, ``committed_output`` and
+    ``observer``.
     """
 
     #: ``AccessResult.served_by`` of this backend's accesses.
@@ -118,17 +119,6 @@ class BufferedTM:
             ctx.buffer_output(value)
         else:
             self.committed_output.append(value)
-
-    def _read_with_source(self, vid: int, addr: int) -> Tuple[int, int]:
-        """Read with uncommitted value forwarding; also report which VID's
-        buffer supplied the value (0 = committed state)."""
-        word = addr - (addr % self.memory.backing.word_size)
-        if vid > 0:
-            for buffer_vid in sorted(self.memory.live_vids(), reverse=True):
-                if buffer_vid <= vid and \
-                        word in self.memory._buffers[buffer_vid]:
-                    return self.memory._buffers[buffer_vid][word], buffer_vid
-        return self.memory.backing.read_word(word), 0
 
 
 class SMTXSystem(BufferedTM):
@@ -260,7 +250,7 @@ class SMTXSystem(BufferedTM):
     def load(self, tid: int, addr: int, now: int = 0) -> AccessResult:
         ctx = self.contexts[tid]
         vid = ctx.vid
-        value, source_vid = self._read_with_source(vid, addr)
+        value, source_vid = self.memory.read_with_source(vid, addr)
         latency = self.timing.load(ctx.core, addr, 0, now=now).latency
         if vid > 0:
             latency += self.costs.instrument_read

@@ -64,7 +64,8 @@ class TestVersionIndex:
     def test_holds_tracks_presence(self):
         cache = make_cache()
         assert not cache.holds(0x44)
-        slot = cache.install_slot(line(0x40, State.EXCLUSIVE))[0]
+        slot = cache.install_slot(0x40, State.EXCLUSIVE.code, [0] * 8,
+                                  0, 0)[0]
         assert cache.holds(0x44)          # any address within the line
         cache._remove_slot(slot)
         assert not cache.holds(0x40)
@@ -79,7 +80,7 @@ class TestVersionIndex:
 
     def test_speculative_counter_follows_retags(self):
         cache = make_cache()
-        slot = cache.install_slot(line(0x40, State.SM, 2, 2))[0]
+        slot = cache.install_slot(0x40, State.SM.code, [0] * 8, 2, 2)[0]
         assert cache.speculative_lines == 1
         cache._retag_slot(slot, State.MODIFIED.code, 0, 0)
         assert cache.speculative_lines == 0

@@ -243,14 +243,13 @@ class TestSlicedHierarchy:
         hier.check_directory_invariant()
 
     def test_invariant_catches_foreign_slice_resident(self):
-        from repro.coherence.line import CacheLine
-        from repro.coherence.states import State
+        from repro.coherence.states import CODE_SHARED
 
         hier = DirectoryHierarchy(two_socket_config())
         line = hier.config.line_size
         # Line at `line` homes at socket 1; force a copy into slice 0.
-        stray = CacheLine(line, State.SHARED, hier.memory.read_line(line))
-        hier._install(hier.llc_slices[0], stray)
+        hier._install(hier.llc_slices[0], line, CODE_SHARED,
+                      hier.memory.read_line(line), 0, 0)
         with pytest.raises(AssertionError):
             hier.check_invariants()
         with pytest.raises(AssertionError):
@@ -301,10 +300,10 @@ class TestStructurePass:
         # The directory's sharer set is the presence map: an install that
         # loses its presence entry must surface as MC010.
         class BrokenSharers(DirectoryHierarchy):
-            def _install(self, cache, line):
-                slot = super()._install(cache, line)
+            def _install(self, cache, base, *columns):
+                slot = super()._install(cache, base, *columns)
                 if cache.name == "L1[3]":
-                    self._holders.get(line.addr, set()).discard(cache)
+                    self._holders.get(base, set()).discard(cache)
                 return slot
 
         report = check_topology_structure(

@@ -84,6 +84,24 @@ class TestQuickModeEndToEnd:
         assert "hot-path bench" in format_bench(run)
 
 
+class TestWrongResultFailsLoudly:
+    def test_wrong_result_exits_non_zero_and_writes_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.experiments.bench import main
+        from repro.workloads.alvinn import AlvinnWorkload
+
+        # The first bench request (052.alvinn, hmtx) now expects a value
+        # no run can produce, so its record says correct=False.
+        monkeypatch.setattr(AlvinnWorkload, "expected_result",
+                            lambda self, system: "not-a-result")
+        out = tmp_path / "BENCH.json"
+        assert main(["--quick", "--output", str(out)]) != 0
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "052.alvinn on hmtx at scale 0.25" in err
+        assert "wrong result" in err
+
+
 class TestPhaseProfiler:
     def test_breakdown_covers_one_real_run(self):
         from repro.experiments.engine import RunRequest, execute_request
