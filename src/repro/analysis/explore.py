@@ -38,9 +38,9 @@ static persistent-set DPOR is *unsound* here — commit/abort broadcasts
 touch every cache and the lazy-fold timing makes nearly all transitions
 pairwise dependent — so the state space is instead quotiented by
 canonicalization: states are hashed over their **resolved** line-store
-columns (the pure :func:`_resolved` fold mirrors ``_process_lazy_slot``,
-which is confluent, so pending lazy events do not split states), VIDs are
-renamed by their rank (an order-isomorphism: the protocol compares
+columns (the pure ``VersionedCache.resolved_slot`` fold mirrors
+``_process_lazy_slot``, which is confluent, so pending lazy events do not
+split states), VIDs are renamed by their rank (an order-isomorphism: the protocol compares
 request VIDs against tags only with ``>=``/``<`` and tests equality only
 against ``modVID`` tags, so any order-preserving renaming is a behavior
 isomorphism), and on symmetric 2-socket scenarios the socket-mirror
@@ -74,12 +74,8 @@ from ..coherence.directory import DirectoryConfig, DirectoryHierarchy
 from ..coherence.hierarchy import HierarchyConfig, MemoryHierarchy
 from ..coherence.line import CacheLine
 from ..coherence.overflow import OverflowVersionTable
-from ..coherence.protocol import (
-    abort_transition_code,
-    commit_transition_code,
-    version_hits_code,
-)
-from ..coherence.states import CODE_INVALID, CODE_SM, CODE_SS, State
+from ..coherence.protocol import version_hits_code
+from ..coherence.states import CODE_SM, CODE_SS, State
 from ..errors import MisspeculationError
 from ..topology import TopologySpec, place_core
 from ..txctl.causes import AbortCause
@@ -262,42 +258,6 @@ class _Run:
 # Pure resolved-state reader
 # ----------------------------------------------------------------------
 
-def _resolved(cache: VersionedCache, slot: int) -> Optional[Tuple[int, int, int]]:
-    """What ``(state, modVID, highVID)`` this slot folds to — *without*
-    mutating anything.
-
-    A pure mirror of ``VersionedCache._process_lazy_slot``: replays, in
-    broadcast order, every event the line has not yet processed.  Because
-    lazy folding is incremental and confluent (resolving now and then
-    applying future events equals resolving later), hashing resolved
-    triples is a sound state abstraction.  Returns ``None`` for slots
-    that fold to INVALID.
-    """
-    store = cache._store
-    code = store.state[slot]
-    if code == CODE_INVALID:
-        return None
-    mod = store.mod_vid[slot]
-    high = store.high_vid[slot]
-    if store.epoch[slot] == cache._epoch or code < CODE_SM:
-        return code, mod, high
-    history = cache._abort_history
-    seen = store.seen_aborts[slot]
-    while seen < len(history):
-        code, mod, high = commit_transition_code(code, mod, high,
-                                                 history[seen])
-        seen += 1
-        code, mod, high = abort_transition_code(code, mod, high)
-        if code == CODE_INVALID:
-            return None
-        if code < CODE_SM:
-            return code, mod, high
-    code, mod, high = commit_transition_code(code, mod, high, cache.lc_vid)
-    if code == CODE_INVALID:
-        return None
-    return code, mod, high
-
-
 # ----------------------------------------------------------------------
 # Events
 # ----------------------------------------------------------------------
@@ -377,7 +337,7 @@ def _has_blocker(run: _Run, exc: MisspeculationError) -> bool:
     eff = exc.vid
     for cache in run.hierarchy._caches:
         for slot in cache._by_base.get(base, ()):
-            resolved = _resolved(cache, slot)
+            resolved = cache.resolved_slot(slot)
             if resolved is None:
                 continue
             code, mod, high = resolved
@@ -449,7 +409,7 @@ def _check_committed_view(run: _Run) -> List[Dict[str, Any]]:
         for cache in hierarchy._caches:
             hits = []
             for slot in cache._by_base.get(addr, ()):
-                resolved = _resolved(cache, slot)
+                resolved = cache.resolved_slot(slot)
                 if resolved is None:
                     continue
                 code, mod, high = resolved
@@ -487,7 +447,7 @@ def _check_committed_view(run: _Run) -> List[Dict[str, Any]]:
 def check_machine(run: _Run) -> List[Dict[str, Any]]:
     """EX003 structural invariants + EX002 committed view, every step."""
     try:
-        run.hierarchy.check_invariants()
+        run.hierarchy.check_invariants(committed_view=False)
         if isinstance(run.hierarchy, DirectoryHierarchy):
             run.hierarchy.check_directory_invariant()
     except AssertionError as exc:
@@ -593,7 +553,7 @@ def _encode(run: _Run, amap: Optional[Dict[int, int]],
         slots = []
         for base, bucket in cache._by_base.items():
             for slot in bucket:
-                resolved = _resolved(cache, slot)
+                resolved = cache.resolved_slot(slot)
                 if resolved is None:
                     continue
                 code, mod, high = resolved
@@ -637,7 +597,7 @@ def _vid_ranks(run: _Run) -> Dict[int, int]:
             vids.add(cache.lc_vid)
         for bucket in cache._by_base.values():
             for slot in bucket:
-                resolved = _resolved(cache, slot)
+                resolved = cache.resolved_slot(slot)
                 if resolved is None:
                     continue
                 _, mod, high = resolved

@@ -7,8 +7,9 @@ in-source with a suppression marker so the reason survives review:
 * ``# lint-ok: RL005 (why this is fine)`` on the offending line or the
   line directly above suppresses one rule at that site;
 * ``# lint-file-ok: RL005 (why)`` anywhere in a file suppresses the rule
-  for the whole file (used by ``__main__.py``, whose lazy subcommand
-  imports are its documented dispatch pattern).
+  for the whole file.  No module in the package needs one: the command
+  table in ``__main__.py`` loads handlers through ``importlib``, so each
+  handler module imports its stack at top level.
 
 Both forms **require** the parenthesised reason — a bare marker does not
 suppress anything.

@@ -338,6 +338,40 @@ class VersionedCache:
         store.epoch[slot] = epoch
         return slot
 
+    def resolved_slot(self, slot: int) -> Optional[Tuple[int, int, int]]:
+        """``(state code, modVID, highVID)`` that ``slot`` folds to —
+        *without* mutating anything; ``None`` if it folds to INVALID.
+
+        A pure mirror of :meth:`_process_lazy_slot` for the checkers
+        (:meth:`MemoryHierarchy.check_invariants`, the interleaving
+        explorer).  Lazy folding is incremental and confluent (resolving
+        now and then applying future events equals resolving later), so
+        this is the state the next access will see.
+        """
+        store = self._store
+        code = store.state[slot]
+        if code == CODE_INVALID:
+            return None
+        mod = store.mod_vid[slot]
+        high = store.high_vid[slot]
+        if store.epoch[slot] == self._epoch or code < CODE_SM:
+            return code, mod, high
+        history = self._abort_history
+        seen = store.seen_aborts[slot]
+        while seen < len(history):
+            code, mod, high = commit_transition_code(code, mod, high,
+                                                     history[seen])
+            seen += 1
+            code, mod, high = abort_transition_code(code, mod, high)
+            if code == CODE_INVALID:
+                return None
+            if code < CODE_SM:
+                return code, mod, high
+        code, mod, high = commit_transition_code(code, mod, high, self.lc_vid)
+        if code == CODE_INVALID:
+            return None
+        return code, mod, high
+
     def _remove_slot(self, slot: int) -> None:
         """Unlink a resident slot from its set and index, and free it."""
         store = self._store

@@ -37,6 +37,7 @@ from .protocol import (
     WriteOutcome,
     plan_new_version,
     read_transition,
+    version_hits_code,
     write_outcome,
 )
 from .states import (
@@ -406,12 +407,16 @@ class MemoryHierarchy:
         return self.config.line_size * sum(
             cache.speculative_lines for cache in self._all_caches())
 
-    def check_invariants(self) -> None:
+    def check_invariants(self, committed_view: bool = True) -> None:
         """Assert the system-wide protocol invariants (test support).
 
         Also cross-checks the fast-path layer: the per-cache version
         indices and filter counters, and the hierarchy's presence map, must
-        exactly mirror the set contents they summarise.
+        exactly mirror the set contents they summarise.  With
+        ``committed_view`` every line's committed view must also agree
+        across caches (:meth:`_check_committed_view`); the explorer turns
+        it off because its EX002 checks the same view against the
+        expected values.
         """
         latest_owners = {}
         held: Dict[int, Set[VersionedCache]] = {}
@@ -439,6 +444,46 @@ class MemoryHierarchy:
                             f"version of 0x{line.addr:x} resident in "
                             f"{cache.name} but homed at {home.name}")
         assert held == self._holders, "presence map diverged from contents"
+        for addr in sorted(held) if committed_view else ():
+            self._check_committed_view(addr, held[addr])
+
+    def _check_committed_view(self, addr: int,
+                              holders: Set[VersionedCache]) -> None:
+        """Committed-view agreement (the run-end form of explore's EX002).
+
+        Every copy a non-speculative request would hit (``lookup(addr,
+        0)`` once lazy folding applies) must hold the same data, and a
+        committed M copy must be the only non-speculative copy of its line.
+        A speculative copy still serving the committed view (``S-S``
+        below its highVID) is held to data agreement only.
+        """
+        views = []
+        for cache in self._caches:
+            if cache not in holders:
+                continue
+            for slot in cache._by_base.get(addr, ()):
+                resolved = cache.resolved_slot(slot)
+                if resolved is not None and version_hits_code(
+                        *resolved, cache.lc_vid):
+                    views.append((cache.name, STATE_FROM_CODE[resolved[0]],
+                                  cache._store.data[slot]))
+        if len(views) < 2:
+            return
+        first = views[0]
+        for view in views[1:]:
+            if view[2] != first[2]:
+                word = next(i for i, pair in enumerate(zip(first[2], view[2]))
+                            if pair[0] != pair[1])
+                raise AssertionError(
+                    f"committed views of 0x{addr:x} disagree at word "
+                    f"{word}: {first[0]} {first[1]} holds {first[2][word]}, "
+                    f"{view[0]} {view[1]} holds {view[2][word]}")
+        plain = [view for view in views if not view[1].speculative]
+        if len(plain) > 1 and any(view[1] is State.MODIFIED
+                                  for view in plain):
+            raise AssertionError(
+                f"0x{addr:x} is M alongside other committed copies: "
+                + ", ".join(f"{name} {state}" for name, state, _ in plain))
 
     # ------------------------------------------------------------------
     # Core access machinery

@@ -24,7 +24,6 @@ section of the committed baseline file *before* overwriting it.
 
 from __future__ import annotations
 
-import argparse
 import json
 import pathlib
 import platform
@@ -33,6 +32,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ReproError
+from ..obs.history import record_history
 from ..workloads.contended import CapacityHogWorkload
 from ..workloads.suite import BENCHMARK_NAMES
 from .engine import RunRecord, RunRequest, SweepEngine, SweepSpec
@@ -50,7 +50,7 @@ DEFAULT_OUTPUT = "BENCH_hotpath.json"
 #: fraction below the committed same-mode baseline.
 DEFAULT_TOLERANCE = 0.30
 
-_QUICK_SCALE = 0.25
+QUICK_SCALE = 0.25
 
 
 def bench_spec(quick: bool) -> SweepSpec:
@@ -60,7 +60,7 @@ def bench_spec(quick: bool) -> SweepSpec:
     (no calibrated branch-mix executor); the contended workloads always
     run at full size so their numbers stay mode-comparable.
     """
-    scale = _QUICK_SCALE if quick else 1.0
+    scale = QUICK_SCALE if quick else 1.0
     requests: List[RunRequest] = [
         RunRequest(workload=name, system="hmtx", scale=scale,
                    calibrated=False)
@@ -127,7 +127,7 @@ def run_bench(quick: bool = False, repeat: int = 1,
     fig8_wall = _total("wall_seconds", "fig8")
     section = {
         "mode": "quick" if quick else "full",
-        "scale": _QUICK_SCALE if quick else 1.0,
+        "scale": QUICK_SCALE if quick else 1.0,
         "repeat": repeat,
         "workloads": workloads,
         "totals": {
@@ -219,59 +219,8 @@ def format_bench(section: Dict) -> str:
     return "\n".join(lines)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro bench",
-        description="measure simulator wall-clock throughput "
-                    "(Figure 8 suite + contended workloads)")
-    parser.add_argument("--quick", action="store_true",
-                        help=f"reduced scale ({_QUICK_SCALE}) for CI smoke")
-    parser.add_argument("--repeat", type=int, default=1,
-                        help="best-of-N wall-clock per workload (default 1)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="sweep-engine worker processes (default 1; "
-                             "parallel workers contend for CPU, so keep 1 "
-                             "when the wall numbers matter)")
-    parser.add_argument("--output", default=DEFAULT_OUTPUT,
-                        help=f"report file (default {DEFAULT_OUTPUT})")
-    parser.add_argument("--baseline", default=None,
-                        help="baseline file for --check "
-                             "(default: the output file before rewriting)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail when ops/sec regresses more than "
-                             "--tolerance below the committed baseline")
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                        help="allowed fractional ops/sec regression "
-                             f"(default {DEFAULT_TOLERANCE})")
-    parser.add_argument("--history", nargs="?", const="", default=None,
-                        metavar="DIR",
-                        help="after timing, rerun the suite observed and "
-                             "append the obs digests to the cross-run "
-                             "history store (default dir .obs-history "
-                             "when no DIR given)")
-    parser.add_argument("--profile", action="store_true",
-                        help="print a snoop/scrub/lazy-fold/scheduler phase "
-                             "breakdown of wall time; the (wrapper-inflated) "
-                             "measurements are NOT written to the report")
-    args = parser.parse_args(argv)
-
-    if args.profile:
-        from .phase_profile import PhaseProfiler, format_profile  # lint-ok: RL005 (profiling-only stack, loaded on --profile alone)
-        # Wrappers live in this process only, so the run must be serial;
-        # a single pass keeps the phase totals and the wall denominator
-        # describing the same runs (best-of-N would not).
-        profiler = PhaseProfiler().install()
-        try:
-            section = run_bench(quick=args.quick, repeat=1, jobs=1)
-        finally:
-            profiler.uninstall()
-        print(format_bench(section))
-        print()
-        print(format_profile(
-            profiler.report(section["totals"]["wall_seconds"])))
-        print("(profiled walls are wrapper-inflated; report not written)")
-        return 0
-
+def bench_command(args) -> int:
+    """``python -m repro bench``: time the suite, merge the report."""
     engine = SweepEngine(jobs=args.jobs)
     try:
         section = run_bench(quick=args.quick, repeat=args.repeat,
@@ -283,15 +232,10 @@ def main(argv=None) -> int:
     if args.history is not None:
         # Observed runs happen *after* every timed one, so attaching the
         # profiler cannot perturb the wall numbers above.
-        from ..obs.history import DEFAULT_ROOT, HistoryStore  # lint-ok: RL005 (history is opt-in; keeps the obs store off the timing path)
-        observed = [replace(r, observe=True)
-                    for r in bench_spec(args.quick).requests]
-        engine.run(observed)
-        store = HistoryStore(args.history or DEFAULT_ROOT)
-        appended = store.append_runs(engine.observed_pairs, source="bench")
-        history_note = (f"history: generation {appended['generation']} at "
-                        f"{store.root} ({appended['runs']} run(s), "
-                        f"{appended['new_digests']} new digest(s))")
+        engine.run([replace(r, observe=True)
+                    for r in bench_spec(args.quick).requests])
+        history_note = record_history(args.history, engine.observed_pairs,
+                                      source="bench")
     output = pathlib.Path(args.output)
     baseline = pathlib.Path(args.baseline) if args.baseline else output
     ok, message = (True, "")
@@ -306,7 +250,3 @@ def main(argv=None) -> int:
     if args.check:
         print(message)
     return 0 if ok else 1
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via python -m repro
-    raise SystemExit(main())

@@ -320,17 +320,24 @@ def _execute_shared(index: int) -> RunRecord:
     return execute_request(_SHARED_REQUESTS[index])
 
 
+def observed_run(request: RunRequest):
+    """Execute ``request`` with a fresh obs session attached; returns
+    ``(session, workload, result)`` with the session finalized."""
+    from ..obs.session import ObsSession  # lint-ok: RL005 (observed runs only; keeps the obs stack out of unobserved pool workers)
+    session = ObsSession()
+    with session.activate():
+        workload, result = _run(request)
+    session.detach()
+    session.finalize(result)
+    return session, workload, result
+
+
 def execute_request(request: RunRequest) -> RunRecord:
     """Run one request start-to-finish; the unit a pool worker executes."""
     start = time.perf_counter()
     if request.observe:
-        from ..obs.profile import attribute, digest  # lint-ok: RL005 (observed runs only; keeps the obs stack out of unobserved pool workers)
-        from ..obs.session import ObsSession  # lint-ok: RL005 (same)
-        session = ObsSession()
-        with session.activate():
-            workload, result = _run(request)
-        session.detach()
-        session.finalize(result)
+        from ..obs.profile import attribute, digest  # lint-ok: RL005 (observed runs only, like observed_run's session import)
+        session, workload, result = observed_run(request)
         obs_digest = digest(session, attribute(session))
         return snapshot(request, workload, result,
                         time.perf_counter() - start, obs_digest=obs_digest)

@@ -18,12 +18,12 @@ and inherit its determinism contract: the report is a function of
 (scale, code) only, byte-identical for every ``--jobs`` value (the CI
 ``scaling-smoke`` job diffs exactly this).
 
-CLI: ``python -m repro scaling [--quick] [--jobs N] [--output FILE]``.
+CLI: ``python -m repro scaling [--quick] [--jobs N] [--output FILE]``
+(:func:`scaling_command`).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import pathlib
 import sys
@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import MachineConfig
+from ..obs.history import record_history
 from ..obs.profile import load_digest
 from ..topology import TOPOLOGY_PRESETS, TopologySpec
 from .engine import RunRecord, RunRequest, SweepEngine, SweepSpec
@@ -56,7 +57,7 @@ QUICK_PRESETS: Dict[str, TopologySpec] = {
 
 QUICK_WORKLOADS = ("130.li", "svc-kv")
 
-_DEFAULT_OUTPUT = "REPORT_scaling.json"
+DEFAULT_OUTPUT = "REPORT_scaling.json"
 
 
 def resolve_preset(name: str) -> TopologySpec:
@@ -250,62 +251,14 @@ def format_scaling(result: ScalingResult) -> str:
     return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# CLI (dispatched from repro.__main__ as ``python -m repro scaling``)
-# ----------------------------------------------------------------------
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro scaling",
-        description="Sweep topology presets x backends x workloads; "
-                    "emit the VID-reset-storm scaling report")
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="workload size multiplier (default 1.0)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="sweep-engine worker processes; the report "
-                             "is byte-identical for every value")
-    parser.add_argument("--quick", action="store_true",
-                        help="CI smoke: 2-socket x 8-core machine, "
-                             "reduced workload set, scale 0.25")
-    parser.add_argument("--presets", default=None,
-                        help="comma-separated preset names (default "
-                             f"{','.join(SCALING_PRESETS)})")
-    parser.add_argument("--workloads", default=None,
-                        help="comma-separated workload names (default "
-                             f"{','.join(SCALING_WORKLOADS)})")
-    parser.add_argument("--systems", default=None,
-                        help="comma-separated system labels (default "
-                             f"{','.join(SCALING_SYSTEMS)})")
-    parser.add_argument("--placement", default="pack",
-                        choices=["pack", "spread"],
-                        help="thread placement policy (default pack)")
-    parser.add_argument("--survivor", default=None,
-                        help="also replay one svc survivor JSON "
-                             "(svc-survivor:<path>) on the first "
-                             "multi-socket preset under hmtx")
-    parser.add_argument("--output", default=_DEFAULT_OUTPUT,
-                        help=f"report file (default {_DEFAULT_OUTPUT})")
-    parser.add_argument("--history", nargs="?", const="", default=None,
-                        metavar="DIR",
-                        help="append the sweep's obs digests to the "
-                             "cross-run history store (default dir "
-                             ".obs-history when no DIR given)")
-    args = parser.parse_args(argv)
-
-    if args.quick:
-        presets = ("table2", "2s8c")
-        workloads = QUICK_WORKLOADS
-        scale = 0.25 if args.scale == 1.0 else args.scale
-    else:
-        presets = SCALING_PRESETS
-        workloads = SCALING_WORKLOADS
-        scale = args.scale
-    if args.presets:
-        presets = tuple(args.presets.split(","))
-    if args.workloads:
-        workloads = tuple(args.workloads.split(","))
-    systems = tuple(args.systems.split(",")) if args.systems \
-        else SCALING_SYSTEMS
+def scaling_command(args) -> int:
+    """``python -m repro scaling``: run the sweep, write the report."""
+    presets = args.presets or (("table2", "2s8c") if args.quick
+                               else SCALING_PRESETS)
+    workloads = args.workloads or (QUICK_WORKLOADS if args.quick
+                                   else SCALING_WORKLOADS)
+    systems = args.systems or SCALING_SYSTEMS
+    scale = 0.25 if args.quick and args.scale == 1.0 else args.scale
 
     engine = SweepEngine(jobs=args.jobs)
     start = time.perf_counter()  # lint-ok: RL008 (terminal progress line only; never enters the report)
@@ -336,13 +289,8 @@ def main(argv=None) -> int:
             return 1
 
     if args.history is not None:
-        from ..obs.history import DEFAULT_ROOT, HistoryStore  # lint-ok: RL005 (history is opt-in; keeps the obs store out of default sweeps)
-        store = HistoryStore(args.history or DEFAULT_ROOT)
-        appended = store.append_runs(engine.observed_pairs,
-                                     source="scaling")
-        print(f"history: generation {appended['generation']} at "
-              f"{store.root} ({appended['runs']} run(s), "
-              f"{appended['new_digests']} new digest(s))")
+        print(record_history(args.history, engine.observed_pairs,
+                             source="scaling"))
 
     wall = time.perf_counter() - start  # lint-ok: RL008 (wall time is printed to the terminal only; the report written below is cycle-pure)
     output = pathlib.Path(args.output)
@@ -351,7 +299,3 @@ def main(argv=None) -> int:
     print(f"\nwrote {output} ({wall:.1f}s at scale {scale}, "
           f"jobs {args.jobs})")
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -22,79 +22,22 @@ Subcommands of the regression observatory:
 
 from __future__ import annotations
 
-# lint-file-ok: RL005 (sweep-engine and exporter stacks load lazily so obs --help stays fast, like the bench/analyze CLIs)
-
-import argparse
 import json
+import pathlib
 import sys
 import time
 
+from ..experiments.engine import RunRequest, _run, observed_run, snapshot
+from .diff import diff_bundles, format_diff, load_entries, render_json
+from .export import render_gantt, write_chrome_trace
+from .history import (DEFAULT_ROOT, HistoryStore, format_history,
+                      record_history)
 from .profile import attribute, digest, format_breakdown, format_hot_lines
-from .session import ObsSession
 from .timeline import build_timeline
-
-
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro obs",
-        description="run one workload fully instrumented: metrics, "
-                    "transaction timeline, simulated-cycle profile")
-    parser.add_argument("workload",
-                        help="suite benchmark or adversarial workload "
-                             "(e.g. contended-list)")
-    parser.add_argument("--backend", "--system", dest="system",
-                        default="hmtx",
-                        help="system label or registered backend "
-                             "(default hmtx)")
-    parser.add_argument("--paradigm", default=None,
-                        help="force a parallelisation paradigm")
-    parser.add_argument("--policy", default=None,
-                        help="txctl retry policy name")
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="workload size multiplier (default 1.0)")
-    parser.add_argument("--timeline", metavar="FILE", default=None,
-                        help="write a Chrome trace-event JSON "
-                             "(Perfetto-loadable)")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text", help="report format")
-    parser.add_argument("--gantt", action="store_true",
-                        help="render the terminal Gantt view")
-    parser.add_argument("--gantt-width", type=int, default=72)
-    parser.add_argument("--top", type=int, default=5,
-                        help="hot-line table size (default 5)")
-    parser.add_argument("--metrics", action="store_true",
-                        help="also dump the full metrics registry")
-    parser.add_argument("--overhead-check", action="store_true",
-                        help="time instrumented vs uninstrumented and "
-                             "assert the overhead bound")
-    parser.add_argument("--overhead-limit", type=float, default=1.75,
-                        help="max allowed wall-clock slowdown factor "
-                             "(default 1.75)")
-    parser.add_argument("--repeat", type=int, default=3,
-                        help="best-of-N runs for --overhead-check")
-    parser.add_argument("--history", nargs="?", const="", default=None,
-                        metavar="DIR",
-                        help="append this run's obs digest to the "
-                             "cross-run history store (default dir "
-                             ".obs-history when no DIR given)")
-    return parser
-
-
-def _observed_run(request):
-    """Execute ``request`` with a fresh session attached; returns
-    ``(session, workload, result)`` with the session finalized."""
-    from ..experiments.engine import _run
-    session = ObsSession()
-    with session.activate():
-        workload, result = _run(request)
-    session.detach()
-    session.finalize(result)
-    return session, workload, result
 
 
 def _overhead_check(request, repeat: int, limit: float,
                     fmt: str = "text") -> int:
-    from ..experiments.engine import _run
     baseline = instrumented = float("inf")
     ops = 0
     for _ in range(max(1, repeat)):
@@ -104,7 +47,7 @@ def _overhead_check(request, repeat: int, limit: float,
         ops = result.run.ops_executed
     for _ in range(max(1, repeat)):
         start = time.perf_counter()
-        session, _, _ = _observed_run(request)
+        observed_run(request)
         instrumented = min(instrumented, time.perf_counter() - start)
     slowdown = instrumented / baseline if baseline > 0 else 1.0
     base_rate = ops / baseline if baseline > 0 else 0.0
@@ -135,30 +78,7 @@ def _overhead_check(request, repeat: int, limit: float,
     return 0 if ok else 1
 
 
-def diff_main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro obs diff",
-        description="differential digest attribution between two runs: "
-                    "paths (digest/report/bundle/sweep JSON) or history "
-                    "refs (HEAD, HEAD~N, gen:N, git:LABEL)")
-    parser.add_argument("a", help="before: path or history ref")
-    parser.add_argument("b", help="after: path or history ref")
-    parser.add_argument("--store", default=None, metavar="DIR",
-                        help="history store for ref sources "
-                             "(default .obs-history)")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text", help="report format")
-    parser.add_argument("--output", default=None, metavar="FILE",
-                        help="also write the hmtx-obs-diff/1 artifact")
-    parser.add_argument("--top", type=int, default=3,
-                        help="phases per pair in the text report "
-                             "(default 3)")
-    parser.add_argument("--check-zero", action="store_true",
-                        help="exit non-zero unless the diff is exactly "
-                             "zero (CI determinism gate)")
-    args = parser.parse_args(argv)
-    from .diff import diff_bundles, format_diff, load_entries, render_json
-    from .history import DEFAULT_ROOT, HistoryStore
+def diff_command(args) -> int:
     store = HistoryStore(args.store or DEFAULT_ROOT)
     try:
         bundle_a = load_entries(args.a, store)
@@ -173,7 +93,6 @@ def diff_main(argv=None) -> int:
     else:
         print(format_diff(artifact, top=args.top))
     if args.output:
-        import pathlib
         pathlib.Path(args.output).write_text(render_json(artifact),
                                              encoding="utf-8")
     if args.check_zero and not artifact["zero"]:
@@ -181,23 +100,9 @@ def diff_main(argv=None) -> int:
     return 0
 
 
-def history_main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro obs history",
-        description="list or export the cross-run obs-digest history")
-    parser.add_argument("--store", default=None, metavar="DIR",
-                        help="history store (default .obs-history)")
-    parser.add_argument("--limit", type=int, default=10,
-                        help="generations to list (default 10)")
-    parser.add_argument("--ref", default="HEAD",
-                        help="generation to export (default HEAD)")
-    parser.add_argument("--export", default=None, metavar="FILE",
-                        help="write --ref as a hmtx-obs-digests/1 bundle")
-    args = parser.parse_args(argv)
-    from .history import DEFAULT_ROOT, HistoryStore, format_history
+def history_command(args) -> int:
     store = HistoryStore(args.store or DEFAULT_ROOT)
     if args.export:
-        import pathlib
         try:
             bundle = store.export_bundle(args.ref)
         except KeyError as exc:
@@ -213,17 +118,7 @@ def history_main(argv=None) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv[:1] == ["diff"]:
-        return diff_main(argv[1:])
-    if argv[:1] == ["whatif"]:
-        from .whatif import main as whatif_main
-        return whatif_main(argv[1:])
-    if argv[:1] == ["history"]:
-        return history_main(argv[1:])
-    args = _parser().parse_args(argv)
-    from ..experiments.engine import RunRequest
+def obs_command(args) -> int:
     request = RunRequest(workload=args.workload, system=args.system,
                          scale=args.scale, paradigm=args.paradigm,
                          policy=args.policy)
@@ -231,25 +126,20 @@ def main(argv=None) -> int:
         return _overhead_check(request, args.repeat, args.overhead_limit,
                                fmt=args.format)
 
-    session, workload, result = _observed_run(request)
+    session, workload, result = observed_run(request)
     attribution = attribute(session)
     reconciliation = session.reconcile(result.system.stats)
     timeline = build_timeline(session, attribution)
-    correct = (workload.observed_result(result.system)
-               == workload.expected_result(result.system))
+    record = snapshot(request, workload, result, 0.0,
+                      obs_digest=digest(session, attribution)
+                      if args.history is not None else None)
+    correct = record.correct
 
     if args.history is not None:
-        from ..experiments.engine import snapshot
-        from .history import DEFAULT_ROOT, HistoryStore
-        record = snapshot(request, workload, result, 0.0,
-                          obs_digest=digest(session, attribution))
-        store = HistoryStore(args.history or DEFAULT_ROOT)
-        appended = store.append_runs([(request, record)], source="obs")
-        print(f"history: generation {appended['generation']} at "
-              f"{store.root} ({appended['new_digests']} new digest(s))")
+        print(record_history(args.history, [(request, record)],
+                             source="obs"))
 
     if args.timeline:
-        from .export import write_chrome_trace
         data = write_chrome_trace(
             timeline, args.timeline,
             label=f"{args.workload}/{args.system}")
@@ -293,7 +183,6 @@ def main(argv=None) -> int:
             print(f"  {name}: observed {pair['observed']} {marker} "
                   f"stats {pair['stats']}")
         if args.gantt:
-            from .export import render_gantt
             print()
             print(render_gantt(timeline, width=args.gantt_width))
         if args.metrics:
@@ -305,7 +194,3 @@ def main(argv=None) -> int:
 
     ok = reconciliation["ok"] and attribution.identity_ok and correct
     return 0 if ok else 1
-
-
-if __name__ == "__main__":  # pragma: no cover - python -m repro obs is the entry
-    raise SystemExit(main())

@@ -233,6 +233,18 @@ class HistoryStore:
         return bundle([(run, run["digest"]) for run in self.resolve(ref)])
 
 
+def record_history(directory: Optional[str],
+                   pairs: Sequence[Tuple[Any, Any]], source: str) -> str:
+    """Append ``pairs`` as one generation of the store at ``directory``
+    (the ``--history [DIR]`` flag: empty means :data:`DEFAULT_ROOT`);
+    returns the line the commands print."""
+    store = HistoryStore(directory or DEFAULT_ROOT)
+    appended = store.append_runs(pairs, source=source)
+    return (f"history: generation {appended['generation']} at "
+            f"{store.root} ({appended['runs']} run(s), "
+            f"{appended['new_digests']} new digest(s))")
+
+
 def bundle(runs_with_digests: Iterable[Tuple[Dict[str, Any],
                                              Dict[str, Any]]]) -> Dict[str, Any]:
     """Build a digest bundle from ``(run-entry, digest)`` pairs."""

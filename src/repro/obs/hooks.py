@@ -26,7 +26,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-#: The currently active :class:`~repro.obs.session.ObsSession`, or None.
+#: The currently active run observer, or None: an
+#: :class:`~repro.obs.session.ObsSession`, or any object with its
+#: ``attach_system`` / ``attach_scheduler`` / ``record_spin`` methods
+#: (``python -m repro run --trace`` attaches its tracers this way).
 #: Only :func:`activate` / :func:`deactivate` should write this.
 active: Optional[object] = None
 

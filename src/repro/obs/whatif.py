@@ -38,9 +38,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
+import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import MachineConfig
+from ..experiments.engine import RunRequest, SweepEngine
+from ..experiments.scaling_sweep import resolve_preset, scaling_machine
 from .profile import load_digest
 
 WHATIF_SCHEMA = "hmtx-obs-whatif/1"
@@ -173,8 +176,6 @@ def run_whatif(presets: Sequence[str] = DEFAULT_PRESETS,
     as a single engine batch so ``--jobs`` parallelises across the whole
     matrix.
     """
-    from ..experiments.engine import RunRequest, SweepEngine  # lint-ok: RL005 (keeps repro.obs import-light; the sweep stack loads only when a what-if actually runs)
-    from ..experiments.scaling_sweep import resolve_preset, scaling_machine  # lint-ok: RL005 (same lazy sweep-stack boundary as the engine import above)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     engine = engine or SweepEngine(jobs=jobs)
@@ -218,7 +219,10 @@ def run_whatif(presets: Sequence[str] = DEFAULT_PRESETS,
         digest = load_digest(baseline.obs_digest)
         total = max(1, digest["total_thread_cycles"])
         rows = []
+        correct = baseline.correct
         for knob, up_value, down_value, up_at, down_at in knob_slots:
+            correct = (correct and records[up_at].correct
+                       and records[down_at].correct)
             up = records[up_at].cycles
             down = records[down_at].cycles
             sensitivity = (up - down) / (2.0 * delta * base_makespan)
@@ -253,6 +257,9 @@ def run_whatif(presets: Sequence[str] = DEFAULT_PRESETS,
             },
             "knobs": rows,
             "ranking": [row["knob"] for row in rows],
+            # False when the baseline or any knob run broke sequential
+            # semantics: its makespans then rank nothing.
+            "correct": correct,
         })
     return {
         "schema": WHATIF_SCHEMA,
@@ -288,7 +295,9 @@ def format_whatif(report: Dict[str, Any]) -> str:
         lines.append(f"\n{combo['workload']}/{combo['system']} on "
                      f"{combo['preset']}: makespan "
                      f"{base['makespan']:,} cycles, "
-                     f"{base['vid_resets']} vid reset(s)")
+                     f"{base['vid_resets']} vid reset(s)"
+                     + ("" if combo["correct"] else
+                        " — WRONG: a run broke sequential semantics"))
         for rank, row in enumerate(combo["knobs"], 1):
             makespan = row["makespan"]
             swing = makespan["up"] - makespan["down"]
@@ -306,69 +315,22 @@ def format_whatif(report: Dict[str, Any]) -> str:
 
 
 # ----------------------------------------------------------------------
-# CLI (``python -m repro obs whatif``)
+# Command (``python -m repro obs whatif``)
 # ----------------------------------------------------------------------
 
-def main(argv=None) -> int:
-    import argparse  # lint-ok: RL005 (CLI-only dependency; library users of run_whatif never pay for it)
-    parser = argparse.ArgumentParser(
-        prog="python -m repro obs whatif",
-        description="causal what-if profiler: perturb one machine knob "
-                    "at a time, rank knobs by makespan sensitivity")
-    parser.add_argument("--quick", action="store_true",
-                        help="CI smoke: one preset, one backend, one "
-                             "workload, reset_scrub knob only")
-    parser.add_argument("--presets", default=None,
-                        help="comma-separated topology presets (default "
-                             f"{','.join(DEFAULT_PRESETS)})")
-    parser.add_argument("--systems", default=None,
-                        help="comma-separated backends (default "
-                             f"{','.join(DEFAULT_SYSTEMS)})")
-    parser.add_argument("--workloads", default=None,
-                        help="comma-separated workloads (default "
-                             f"{','.join(DEFAULT_WORKLOADS)})")
-    parser.add_argument("--knobs", default=None,
-                        help="comma-separated knob names (default all: "
-                             f"{','.join(KNOB_NAMES)})")
-    parser.add_argument("--delta", type=float, default=DEFAULT_DELTA,
-                        help=f"perturbation fraction "
-                             f"(default {DEFAULT_DELTA})")
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="workload size multiplier (default 1.0)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="sweep-engine worker processes; the report "
-                             "is byte-identical for every value")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text", help="report format")
-    parser.add_argument("--output", default=DEFAULT_OUTPUT,
-                        help=f"report file (default {DEFAULT_OUTPUT}; "
-                             f"'-' to skip writing)")
-    args = parser.parse_args(argv)
-
-    presets: Sequence[str] = DEFAULT_PRESETS
-    systems: Sequence[str] = DEFAULT_SYSTEMS
-    workloads: Sequence[str] = DEFAULT_WORKLOADS
-    knobs: Sequence[str] = KNOB_NAMES
-    scale = args.scale
-    if args.quick:
-        presets = ("2s8c",)
-        systems = ("hmtx",)
-        workloads = ("svc-kv",)
-        knobs = ("reset_scrub",)
-        if args.scale == 1.0:
-            scale = 0.5
-    if args.presets:
-        presets = tuple(args.presets.split(","))
-    if args.systems:
-        systems = tuple(args.systems.split(","))
-    if args.workloads:
-        workloads = tuple(args.workloads.split(","))
-    if args.knobs:
-        knobs = tuple(args.knobs.split(","))
-
-    report = run_whatif(presets=presets, systems=systems,
-                        workloads=workloads, knobs=knobs,
-                        delta=args.delta, scale=scale, jobs=args.jobs)
+def whatif_command(args) -> int:
+    """``python -m repro obs whatif``: write the report, then exit 1 if
+    any combination's runs broke sequential semantics."""
+    quick = args.quick  # one preset, one backend, one workload, one knob
+    report = run_whatif(
+        presets=args.presets or (("2s8c",) if quick else DEFAULT_PRESETS),
+        systems=args.systems or (("hmtx",) if quick else DEFAULT_SYSTEMS),
+        workloads=args.workloads or (("svc-kv",) if quick
+                                     else DEFAULT_WORKLOADS),
+        knobs=args.knobs or (("reset_scrub",) if quick else KNOB_NAMES),
+        delta=args.delta,
+        scale=0.5 if quick and args.scale == 1.0 else args.scale,
+        jobs=args.jobs)
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -376,8 +338,9 @@ def main(argv=None) -> int:
     if args.output != "-":
         output = write_report(report, args.output)
         print(f"\nwrote {output}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    wrong = [combo for combo in report["combos"] if not combo["correct"]]
+    for combo in wrong:
+        print(f"obs whatif: {combo['workload']} on {combo['system']} "
+              f"({combo['preset']}) returned a wrong result; its "
+              f"sensitivities measure a broken run", file=sys.stderr)
+    return 1 if wrong else 0

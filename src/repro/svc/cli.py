@@ -21,11 +21,10 @@ latency (default)
 
 from __future__ import annotations
 
-import argparse
 import json
 import pathlib
 import sys
-from typing import List, Optional
+from typing import Optional
 
 from .adversary import replay_survivor, search, write_survivors
 from .latency import (
@@ -47,7 +46,7 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 def _cmd_latency(args) -> int:
     report = latency_report(workload=args.workload, scale=args.scale,
-                            systems=tuple(args.systems.split(",")),
+                            systems=args.systems or DEFAULT_SYSTEMS,
                             seed=args.seed, jobs=args.jobs)
     text = render_json(report) if args.format == "json" \
         else render_text(report)
@@ -103,55 +102,8 @@ def _cmd_replay(args) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro svc",
-        description="service-scale KV/OLTP workloads: tail-latency "
-                    "artifact, adversarial search, survivor replay")
-    parser.add_argument("--seed", type=int, default=42,
-                        help="master seed (default 42); equal seeds give "
-                             "byte-identical output")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    parser.add_argument("--output", default=None,
-                        help="write the artifact to a file instead of "
-                             "stdout")
-    # latency mode ------------------------------------------------------
-    parser.add_argument("--workload", default="svc-kv",
-                        help="registered workload name (default svc-kv)")
-    parser.add_argument("--systems", default=",".join(DEFAULT_SYSTEMS),
-                        help="comma-separated backend list "
-                             f"(default {','.join(DEFAULT_SYSTEMS)})")
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="workload size multiplier (default 1.0)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="sweep-engine worker processes; output is "
-                             "byte-identical for every jobs value")
-    # search mode -------------------------------------------------------
-    parser.add_argument("--search", action="store_true",
-                        help="run the adversarial genome search instead "
-                             "of the latency artifact")
-    parser.add_argument("--rounds", type=int, default=4)
-    parser.add_argument("--population", type=int, default=4)
-    parser.add_argument("--survivors-dir", default=None,
-                        help="serialize top genomes as survivor JSON "
-                             "files in this directory")
-    parser.add_argument("--survivors", type=int, default=2,
-                        help="how many survivors to write (default 2)")
-    parser.add_argument("--min-score", type=float, default=0.0,
-                        help="only genomes scoring at least this survive")
-    # replay mode -------------------------------------------------------
-    parser.add_argument("--replay", nargs="+", default=None,
-                        metavar="FILE",
-                        help="re-score survivor files instead of running "
-                             "the latency artifact")
-    parser.add_argument("--check", action="store_true",
-                        help="with --replay: fail unless every survivor "
-                             "reproduces its recorded abort rate")
-    parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="relative abort-rate tolerance for --check "
-                             "(default 0.25)")
-    args = parser.parse_args(argv)
+def svc_command(args) -> int:
+    """``python -m repro svc``: dispatch to the selected mode."""
     if args.search and args.replay:
         print("--search and --replay are mutually exclusive",
               file=sys.stderr)
@@ -161,7 +113,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.replay:
         return _cmd_replay(args)
     return _cmd_latency(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
-from repro.analysis.cli import main
+from repro.__main__ import main as repro_main
+
+
+def main(argv):
+    return repro_main(["analyze", *argv])
 
 
 class TestAnalyzeCli:

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.analysis.cli import main as analyze_main
+from repro.__main__ import main
 from repro.analysis.explore import (EXPLORE_PRESETS, SHAPES, Explorer,
                                     explore_pass)
 
@@ -94,16 +94,16 @@ class TestReduction:
 
 class TestCli:
     def test_analyze_explore_exits_zero_and_skips_default_passes(self, capsys):
-        assert analyze_main(["--explore", "--preset", "small",
-                             "--format", "json"]) == 0
+        assert main(["analyze", "--explore", "--preset", "small",
+                     "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert [p["name"] for p in report["passes"]] == ["explore"]
         assert report["ok"] is True
 
     def test_analyze_explore_inject_exits_one(self, capsys):
-        assert analyze_main(["--explore", "--inject", "stuck-commit",
-                             "--shapes", "flat",
-                             "--format", "json"]) == 1
+        assert main(["analyze", "--explore", "--inject", "stuck-commit",
+                     "--shapes", "flat",
+                     "--format", "json"]) == 1
         report = json.loads(capsys.readouterr().out)
         rules = {f["rule"] for p in report["passes"]
                  for f in p["findings"]}
@@ -111,9 +111,9 @@ class TestCli:
 
     def test_emit_counterexamples_writes_replayable_json(self, tmp_path,
                                                          capsys):
-        assert analyze_main(["--explore", "--inject", "broken-fold",
-                             "--shapes", "flat",
-                             "--emit-counterexamples", str(tmp_path)]) == 1
+        assert main(["analyze", "--explore", "--inject", "broken-fold",
+                     "--shapes", "flat",
+                     "--emit-counterexamples", str(tmp_path)]) == 1
         capsys.readouterr()
         files = sorted(tmp_path.glob("*.json"))
         assert files

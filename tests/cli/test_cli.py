@@ -1,8 +1,16 @@
 """Tests for the `python -m repro` command-line interface."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
-from repro.__main__ import main
+import repro
+from repro.__main__ import ARTIFACT_NAMES, COMMANDS, main
+from repro.experiments.cli import ARTIFACTS
 
 
 class TestCli:
@@ -57,3 +65,47 @@ class TestCli:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+GOLDENS = pathlib.Path(__file__).resolve().parents[1] / "goldens"
+
+
+class TestCommandTable:
+    def test_importing_the_entry_point_loads_no_simulator(self):
+        probe = ("import sys, repro.__main__; "
+                 "print(sorted(m for m in sys.modules "
+                 "if m.startswith(('repro.coherence', "
+                 "'repro.experiments'))))")
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("key", sorted(COMMANDS))
+    def test_every_command_has_help(self, key, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*key.split(), "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith(
+            f"usage: python -m repro {key} ")
+
+    def test_artifact_rows_match_the_drivers(self):
+        assert set(ARTIFACT_NAMES) == set(ARTIFACTS)
+
+    def test_unknown_command_exits_2(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["no-such-command"])
+        assert excinfo.value.code == 2
+
+
+class TestRunGoldens:
+    """``run`` stdout, byte for byte, for every system (with and without
+    the tracer and the stats dump)."""
+
+    GOLDEN = json.loads((GOLDENS / "cli_run.json").read_text())
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    def test_stdout_is_unchanged(self, command, capsys):
+        assert main(command.split()) == 0
+        assert capsys.readouterr().out == self.GOLDEN[command]

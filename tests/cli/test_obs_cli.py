@@ -6,8 +6,12 @@ import json
 
 import pytest
 
-from repro.obs.cli import main as obs_main
+from repro.__main__ import main
 from repro.obs.export import validate_trace
+
+
+def obs_main(argv):
+    return main(["obs", *argv])
 
 
 class TestObsCli:
@@ -162,3 +166,19 @@ class TestRegressionObservatoryCli:
         report = json.loads((tmp_path / "w.json").read_text())
         assert report["schema"] == "hmtx-obs-whatif/1"
         assert [c["preset"] for c in report["combos"]] == ["2s8c"]
+
+    def test_whatif_flags_a_wrong_run_and_exits_1(self, capsys, tmp_path,
+                                                  monkeypatch):
+        from repro.svc.kvstore import KVStoreWorkload
+        monkeypatch.setattr(KVStoreWorkload, "expected_result",
+                            lambda self, system: "not-a-result")
+        output = tmp_path / "w.json"
+        rc = obs_main(["whatif", "--quick", "--output", str(output)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "WRONG" in captured.out
+        assert "svc-kv on hmtx (2s8c) returned a wrong result" \
+            in captured.err
+        # The report is still written, and says which combo is wrong.
+        (combo,) = json.loads(output.read_text())["combos"]
+        assert combo["correct"] is False

@@ -8,6 +8,7 @@ commit, uncommitted value forwarding), cross-cache behaviour, the section
 import pytest
 
 from repro.coherence import HierarchyConfig, MemoryHierarchy, State
+from repro.coherence.line import CacheLine
 from repro.errors import MisspeculationError, SpeculativeOverflowError
 
 ADDR = 0x4000
@@ -308,6 +309,37 @@ class TestInvariants:
         hierarchy.store(2, ADDR, 3, 3)
         hierarchy.load(3, ADDR, 3)
         hierarchy.check_invariants()
+
+    def test_sharing_with_a_dirty_owner_keeps_one_committed_view(
+            self, hierarchy):
+        hierarchy.store(0, ADDR, 0, 9)
+        hierarchy.load(1, ADDR, 0)
+        hierarchy.load(2, ADDR, 0)
+        hierarchy.check_invariants()
+
+    def test_disagreeing_committed_copies_are_named(self, hierarchy):
+        # L1[2] holds the line M with 9; L1[1] gains a stale S copy with 5
+        # (the end state of the lost committed store in ROADMAP item 1).
+        hierarchy.store(2, ADDR, 0, 9)
+        words = hierarchy.config.line_size // hierarchy.memory.word_size
+        hierarchy.l1s[1].install(CacheLine(ADDR, State.SHARED,
+                                           [5] + [0] * (words - 1)))
+        with pytest.raises(AssertionError) as excinfo:
+            hierarchy.check_invariants()
+        message = str(excinfo.value)
+        assert f"0x{ADDR:x}" in message
+        assert "L1[1] S holds 5" in message
+        assert "L1[2] M holds 9" in message
+
+    def test_modified_copy_must_be_the_only_committed_copy(self, hierarchy):
+        hierarchy.store(2, ADDR, 0, 9)
+        words = hierarchy.config.line_size // hierarchy.memory.word_size
+        hierarchy.l1s[1].install(CacheLine(ADDR, State.SHARED,
+                                           [9] + [0] * (words - 1)))
+        with pytest.raises(AssertionError, match="is M alongside") as excinfo:
+            hierarchy.check_invariants()
+        assert "L1[1] S" in str(excinfo.value)
+        assert "L1[2] M" in str(excinfo.value)
 
     def test_commit_latency_is_constant(self, hierarchy):
         """Lazy scheme: commit cost must not scale with lines touched."""

@@ -87,7 +87,7 @@ class TestQuickModeEndToEnd:
 class TestWrongResultFailsLoudly:
     def test_wrong_result_exits_non_zero_and_writes_nothing(
             self, tmp_path, monkeypatch, capsys):
-        from repro.experiments.bench import main
+        from repro.__main__ import main
         from repro.workloads.alvinn import AlvinnWorkload
 
         # The first bench request (052.alvinn, hmtx) now expects a value
@@ -95,53 +95,8 @@ class TestWrongResultFailsLoudly:
         monkeypatch.setattr(AlvinnWorkload, "expected_result",
                             lambda self, system: "not-a-result")
         out = tmp_path / "BENCH.json"
-        assert main(["--quick", "--output", str(out)]) != 0
+        assert main(["bench", "--quick", "--output", str(out)]) != 0
         assert not out.exists()
         err = capsys.readouterr().err
         assert "052.alvinn on hmtx at scale 0.25" in err
         assert "wrong result" in err
-
-
-class TestPhaseProfiler:
-    def test_breakdown_covers_one_real_run(self):
-        from repro.experiments.engine import RunRequest, execute_request
-        from repro.experiments.phase_profile import (
-            PHASES,
-            PhaseProfiler,
-            format_profile,
-        )
-        from repro.coherence.hierarchy import MemoryHierarchy
-        from repro.runtime.scheduler import Scheduler
-        originals = (Scheduler.run, MemoryHierarchy._access)
-        profiler = PhaseProfiler().install()
-        try:
-            record = execute_request(
-                RunRequest(workload="ispell", system="hmtx", scale=0.2,
-                           calibrated=False))
-        finally:
-            profiler.uninstall()
-        # Uninstall restores the untouched originals.
-        assert (Scheduler.run, MemoryHierarchy._access) == originals
-        report = profiler.report(record.wall_seconds)
-        assert set(report["phases"]) == set(PHASES) | {"other"}
-        # Every run spends time in the scheduler and the protocol hit
-        # path; exclusive shares must sum to ~1 with "other" absorbing
-        # the remainder.
-        assert report["phases"]["scheduler"]["seconds"] > 0
-        assert report["phases"]["access"]["calls"] > 0
-        assert abs(sum(row["share"]
-                       for row in report["phases"].values()) - 1.0) < 0.01
-        assert "phase breakdown" in format_profile(report)
-
-    def test_profiled_run_is_behavior_identical(self):
-        from repro.experiments.engine import RunRequest, execute_request
-        from repro.experiments.phase_profile import PhaseProfiler
-        request = RunRequest(workload="ispell", system="hmtx", scale=0.2,
-                             calibrated=False)
-        plain = execute_request(request)
-        profiler = PhaseProfiler().install()
-        try:
-            profiled = execute_request(request)
-        finally:
-            profiler.uninstall()
-        assert plain == profiled  # wall time excluded from equality

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.engine import RunRequest, SweepEngine, request_options
-from repro.runtime.paradigms import run_workload
+from repro.runtime.paradigms import run_doall, run_workload
 from repro.svc.kvstore import KVStoreWorkload, kv_workload, oltp_workload
 from repro.workloads import make_workload, workload_names
 
@@ -100,3 +100,30 @@ class TestLatencyObservability:
         histograms = record.obs_digest["histograms"]
         assert "svc_queue_wait_cycles" not in histograms
         assert "svc_commit_latency_cycles" not in histograms
+
+
+_LOST_STORE = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: HMTX loses a committed store after a conflict "
+           "abort; the stale S copy and the M copy disagree at run end")
+
+
+class TestSeededKvCommittedView:
+    """Whole-run pins for the seeds on which svc-kv under HMTX goes wrong.
+
+    Seed 42 is the control; 173 and 199 each lose one committed store.
+    When item 1 is fixed these start passing and the strict xfail fails,
+    which is the signal to drop the marks.
+    """
+
+    @pytest.mark.parametrize("seed", [
+        42,
+        pytest.param(173, marks=_LOST_STORE),
+        pytest.param(199, marks=_LOST_STORE),
+    ])
+    def test_correct_and_invariants_hold(self, seed):
+        workload = kv_workload(scale=0.5, seed=seed)
+        result = run_doall(workload, backend="hmtx")
+        assert workload.observed_result(result.system) == \
+            workload.expected_result(result.system)
+        result.system.hierarchy.check_invariants()
