@@ -19,6 +19,7 @@ from ..coherence.memory import DEFAULT_WORD_SIZE
 from ..runtime.paradigms import run_workload
 from ..trace.capture import BackendTracer
 from ..workloads import executor_factory_for, make_benchmark
+from ..workloads.base import semantics_mismatch
 from ..workloads.suite import BENCHMARK_NAMES
 from .findings import SEVERITY_ERROR, Finding, PassReport
 from .racecheck import check_trace
@@ -98,13 +99,11 @@ def racecheck_backends(backends: Optional[Sequence[str]] = None,
                     f"trace ring overflowed: {tracer.dropped_events} oldest "
                     "events evicted — the replay window is partial",
                     "raise BackendTracer capacity or lower the scale"))
-            observed = workload.observed_result(result.system)
-            expected = workload.expected_result(result.system)
-            if observed != expected:
+            mismatch = semantics_mismatch(workload, result.system)
+            if mismatch is not None:
                 merged.findings.append(Finding(
                     "RC005", SEVERITY_ERROR, label,
-                    "run did not preserve sequential semantics",
-                    f"observed {observed!r} != expected {expected!r}"))
+                    "run did not preserve sequential semantics", mismatch))
     merged.coverage = dict(totals,
                            backends=",".join(backends), scale=scale)
     return merged

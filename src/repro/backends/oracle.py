@@ -17,21 +17,20 @@ of Alistarh et al. and Brown & Ravi.)
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Optional, Tuple
 
-from ..coherence.hierarchy import AccessResult, MemoryHierarchy
-from ..coherence.vid import VidSpace
+from ..coherence.hierarchy import AccessResult
 from ..core.config import MachineConfig
-from ..core.context import ThreadContext
-from ..core.stats import SystemStats
-from ..errors import MisspeculationError, TransactionUsageError
-from ..smtx.memory import SmtxMemory
-from ..smtx.system import BufferedTM, _MemoryFacade
-from ..txctl.causes import AbortCause
+from ..smtx.system import BufferedTM
 
 
 class OracleTMSystem(BufferedTM):
-    """A multicore with a zero-overhead, never-aborting TM."""
+    """A multicore with a zero-overhead, never-aborting TM.
+
+    Commit applies the VID's buffer for one ``mtx_instruction`` (the
+    oracle never validates); only ``abortMTX`` (software-detected
+    misspeculation) aborts.
+    """
 
     access_label = "oracle"
 
@@ -39,86 +38,11 @@ class OracleTMSystem(BufferedTM):
                  sla_enabled: bool = True) -> None:
         # SLAs exist to suppress false aborts; an oracle has none either way.
         del sla_enabled
-        self.config = config or MachineConfig()
-        self.memory = SmtxMemory()
-        self.timing = MemoryHierarchy(self.config.hierarchy_config())
-        self.hierarchy = _MemoryFacade(self.memory, self.timing)
-        # Perfect hardware tracks unbounded VIDs; the 4.6 reset protocol
-        # never triggers.
-        self.vid_space = VidSpace(bits=30)
-        self.stats = SystemStats(line_size=self.config.line_size)
-        self.contexts: Dict[int, ThreadContext] = {}
-        self.active_vids: Set[int] = set()
-        self.last_committed = 0
-        self.committed_output: list = []
-        #: The attached backend observer, or None (see
-        #: :attr:`repro.core.system.HMTXSystem.observer`).
-        self.observer = None
+        super().__init__(config)
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def allocate_vid(self) -> int:
-        vid = self.vid_space.allocate()
-        self.active_vids.add(vid)
-        if self.observer is not None:
-            self.observer.allocate(self, vid)
-        return vid
-
-    def vid_reset(self) -> int:
-        raise TransactionUsageError("oracle VIDs are unbounded; no reset exists")
-
-    # ------------------------------------------------------------------
-    # The four MTX instructions
-    # ------------------------------------------------------------------
-
-    def begin_mtx(self, tid: int, vid: int) -> int:
-        if vid > 0:
-            if vid <= self.last_committed:
-                raise TransactionUsageError(
-                    f"beginMTX({vid}) after VID {self.last_committed} committed")
-            self.active_vids.add(vid)
-        ctx = self.contexts[tid]
-        previous, ctx.vid = ctx.vid, vid
-        if self.observer is not None:
-            self.observer.begin(self, tid, vid, previous)
-        return self.config.op_costs.mtx_instruction
-
-    def init_mtx(self, tid: int, handler: Callable[..., Any]) -> int:
-        self.contexts[tid].recovery_handler = handler
-        return self.config.op_costs.mtx_instruction
-
-    def commit_mtx(self, tid: int, vid: int) -> int:
-        """Atomic in-order group commit; the oracle never needs to validate."""
-        if vid != self.last_committed + 1:
-            raise TransactionUsageError(
-                f"commitMTX({vid}) out of order; expected "
-                f"{self.last_committed + 1}")
-        if vid not in self.active_vids:
-            raise TransactionUsageError(f"commitMTX({vid}) of unknown VID")
+    def _commit_versions(self, vid: int) -> int:
         self.memory.commit(vid)
-        self.active_vids.discard(vid)
-        self.last_committed = vid
-        self.stats.record_commit(vid)
-        ctx = self.contexts[tid]
-        for context in self.contexts.values():
-            self.committed_output.extend(context.release_output(vid))
-        if ctx.vid == vid:
-            ctx.vid = 0
-        latency = self.config.op_costs.mtx_instruction
-        if self.observer is not None:
-            self.observer.commit(self, tid, vid, latency)
-        return latency
-
-    def abort_mtx(self, tid: int, vid: int) -> int:
-        """Software-detected misspeculation still aborts (the one way)."""
-        self._abort()
-        err = MisspeculationError(f"explicit abortMTX({vid})", vid=vid,
-                                  cause=AbortCause.EXPLICIT)
-        if self.observer is not None:
-            self.observer.abort(self, "abort_mtx", err)
-        raise err
+        return self.config.op_costs.mtx_instruction
 
     # ------------------------------------------------------------------
     # Memory operations
@@ -156,12 +80,3 @@ class OracleTMSystem(BufferedTM):
         value = self.memory.read(ctx.vid, addr)
         _, latency = self.timing.peek(ctx.core, addr, 0)
         return value, latency
-
-    def _abort(self) -> None:
-        self.memory.abort_all()
-        self.stats.record_abort(explicit=True, cause=AbortCause.EXPLICIT)
-        for ctx in self.contexts.values():
-            ctx.discard_output()
-            ctx.vid = 0
-        self.active_vids.clear()
-        self.vid_space.rewind(self.last_committed + 1)

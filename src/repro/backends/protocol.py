@@ -2,13 +2,16 @@
 
 :class:`TMBackend` is the contract between the paradigm executors of
 :mod:`repro.runtime.paradigms` and a transactional-memory implementation.
-The seed grew two such implementations by duck typing —
-:class:`~repro.core.system.HMTXSystem` (the paper's hardware) and
-:class:`~repro.smtx.system.SMTXSystem` (the software baseline) — and the
-hybrid-TM literature (Alistarh et al.; Brown & Ravi) makes the case that
-the interesting experiments are *comparisons across backends under one
-harness*.  That requires the interface to be explicit: this protocol
-names every method and attribute an executor may touch, and
+Three implementations ship — :class:`~repro.core.system.HMTXSystem` (the
+paper's hardware), :class:`~repro.smtx.system.SMTXSystem` (the software
+baseline) and :class:`~repro.backends.oracle.OracleTMSystem` (an ideal
+TM) — and all three subclass :class:`~repro.core.tm.TMSystem`, which
+implements the lifecycle and the four MTX instructions once; each keeps
+only its memory operations and versioning.  The hybrid-TM literature
+(Alistarh et al.; Brown & Ravi) makes the case that the interesting
+experiments are *comparisons across backends under one harness*.  That
+requires the interface to be explicit: this protocol names every method
+and attribute an executor may touch, and
 ``tests/backends/test_conformance.py`` holds each registered backend to
 it (same signatures, same :class:`~repro.core.stats.SystemStats` shape,
 same abort-cause taxonomy from :mod:`repro.txctl`).

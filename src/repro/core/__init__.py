@@ -23,6 +23,7 @@ from .context import ThreadContext
 from .sla import SlaTracker
 from .stats import CommittedTransaction, OpenTransaction, SystemStats
 from .system import HMTXSystem
+from .tm import TMSystem
 
 __all__ = [
     "CommittedTransaction",
@@ -31,6 +32,7 @@ __all__ = [
     "OpenTransaction",
     "SlaTracker",
     "SystemStats",
+    "TMSystem",
     "ThreadContext",
     "small_test_config",
     "table2_config",

@@ -42,7 +42,7 @@ from ..runtime.paradigms import ParadigmResult, run_workload
 from ..smtx import ValidationMode, run_smtx
 from ..txctl import ContentionManager, make_policy
 from ..workloads import executor_factory_for, make_workload
-from ..workloads.base import Workload
+from ..workloads.base import Workload, semantics_mismatch
 
 #: Adversarial workloads runnable by name alongside the Table 1 suite.
 CONTENDED_WORKLOADS = ("contended-list", "capacity-hog")
@@ -253,8 +253,7 @@ def snapshot(request: RunRequest, workload: Workload,
     contention = stats.contention
     exec_stats = result.extra.get("exec_stats")
     l1, l2 = _cache_accesses(result)
-    correct = (workload.observed_result(result.system)
-               == workload.expected_result(result.system))
+    correct = semantics_mismatch(workload, result.system) is None
     return RunRecord(
         workload=request.workload,
         system=request.system,

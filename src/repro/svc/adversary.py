@@ -40,7 +40,7 @@ from ..obs.profile import attribute
 from ..obs.session import ObsSession
 from ..runtime.paradigms import run_workload
 from ..txctl import ContentionManager, make_policy
-from ..workloads.base import Fragment, Workload
+from ..workloads.base import Fragment, Workload, semantics_mismatch
 from ..workloads.common import LINE, Lcg
 
 SURVIVOR_SCHEMA = "hmtx-svc-survivor/1"
@@ -289,8 +289,7 @@ def evaluate_genome(genome: Genome, seed: int = 42,
         "vid_reset_share": vid_reset_share,
         "abort_replay_share": abort_replay_share,
         "commit_stall_share": commit_stall_share,
-        "correct": workload.observed_result(result.system)
-        == workload.expected_result(result.system),
+        "correct": semantics_mismatch(workload, result.system) is None,
     }
     # Discrete pathology counters plus the profiler's continuous
     # wasted-cycle shares: the counters saturate once the escalation

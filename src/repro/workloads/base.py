@@ -108,3 +108,18 @@ class Workload(abc.ABC):
         from backing memory/committed state and return a comparable value.
         """
         return None
+
+
+def semantics_mismatch(workload: Workload, system) -> Optional[str]:
+    """Did the run on ``system`` preserve sequential semantics?
+
+    Compares ``workload.observed_result(system)`` with
+    ``workload.expected_result(system)``; returns None when they agree,
+    else an ``observed ... != expected ...`` description.  The one verdict
+    behind ``RunRecord.correct``, adversary scoring and racecheck RC005.
+    """
+    observed = workload.observed_result(system)
+    expected = workload.expected_result(system)
+    if observed == expected:
+        return None
+    return f"observed {observed!r} != expected {expected!r}"

@@ -5,14 +5,17 @@ suite holds each backend to the full contract the paradigm executors
 rely on:
 
 * every name in ``PROTOCOL_METHODS`` exists with the same parameter
-  names and defaults as the protocol (annotations are free to differ —
-  HMTX types ``init_mtx``'s handler as ``Callable``, SMTX as ``Any``);
+  names and defaults as the protocol (annotations are free to differ);
 * every name in ``PROTOCOL_ATTRIBUTES`` exists after construction, with
   ``stats`` a real :class:`SystemStats` (same field set everywhere);
 * the behavioural core — begin/store/commit updates ``last_committed``
   and buffers output until commit; ``abort_mtx`` raises
   :class:`MisspeculationError` stamped ``AbortCause.EXPLICIT`` and lands
   in the txctl taxonomy — is identical across backends;
+* the shared lifecycle rejects the same misuse on every backend (an
+  out-of-range core, a VID outside the space, committing a VID never
+  begun) and ``abort_mtx`` leaves every context at VID 0 with the next
+  allocation right after ``last_committed``;
 * every backend actually runs a workload end-to-end through the
   paradigm executors (``run_workload(backend=...)``) and preserves
   sequential semantics.
@@ -32,7 +35,7 @@ from repro.backends import (
 )
 from repro.core.config import MachineConfig
 from repro.core.stats import SystemStats
-from repro.errors import MisspeculationError
+from repro.errors import MisspeculationError, TransactionUsageError
 from repro.runtime.paradigms import run_workload
 from repro.smtx.system import SMTXSystem
 from repro.txctl.causes import AbortCause
@@ -137,6 +140,47 @@ class TestBehaviour:
             assert workload.observed_result(system) == \
                 workload.expected_result(system), name
             assert system.stats.committed > 0, name
+
+
+class TestLifecycleContract:
+    """One MTX lifecycle: every backend rejects the same misuse."""
+
+    def test_thread_rejects_out_of_range_core(self, backend):
+        with pytest.raises(ValueError, match="out of range"):
+            backend.thread(0, core=backend.config.num_cores)
+        assert backend.contexts == {}
+
+    def test_begin_rejects_vid_outside_the_space(self, backend):
+        backend.thread(0, core=0)
+        for vid in (-1, backend.vid_space.max_vid + 1):
+            with pytest.raises(TransactionUsageError):
+                backend.begin_mtx(0, vid)
+        assert backend.contexts[0].vid == 0
+
+    def test_commit_rejects_a_vid_never_begun(self, backend):
+        backend.thread(0, core=0)
+        with pytest.raises(TransactionUsageError, match="unknown VID"):
+            backend.commit_mtx(0, 1)
+        assert backend.last_committed == 0
+        assert backend.stats.committed == 0
+
+    def test_abort_resets_contexts_and_rewinds_vids(self, backend):
+        for tid in range(2):
+            backend.thread(tid, core=tid)
+        first = backend.allocate_vid()
+        backend.begin_mtx(0, first)
+        backend.commit_mtx(0, first)
+        vids = [backend.allocate_vid() for _ in range(2)]
+        for tid, vid in enumerate(vids):
+            backend.begin_mtx(tid, vid)
+            backend.store(tid, ADDR + 64 * tid, vid)
+        with pytest.raises(MisspeculationError):
+            backend.abort_mtx(0, vids[0])
+        assert all(ctx.vid == 0 for ctx in backend.contexts.values())
+        assert backend.active_vids == set()
+        assert backend.stats.contention.vid_cause_count(
+            vids[0], AbortCause.EXPLICIT) == 1
+        assert backend.allocate_vid() == backend.last_committed + 1 == 2
 
 
 class TestSmtxConflictCause:

@@ -31,15 +31,12 @@ class TestTaxonomy:
         exc = MisspeculationError("x", cause=AbortCause.INTERRUPT)
         assert classify(exc) is AbortCause.INTERRUPT
 
-    def test_classify_falls_back_on_exception_type(self):
-        # Unstamped construction is deprecated (the constructor now
-        # default-classifies); classify() must agree with that default.
-        with pytest.warns(DeprecationWarning):
-            overflow = SpeculativeOverflowError("evicted")
-        with pytest.warns(DeprecationWarning):
-            legacy = MisspeculationError("legacy")
-        assert classify(overflow) is AbortCause.CAPACITY_OVERFLOW
-        assert classify(legacy) is AbortCause.CONFLICT
+    def test_cause_is_a_required_keyword(self):
+        with pytest.raises(TypeError):
+            MisspeculationError("unstamped", 3)
+        with pytest.raises(TypeError):
+            SpeculativeOverflowError("unstamped", 3, 0x40,
+                                     AbortCause.CAPACITY_OVERFLOW)
 
     def test_event_from_exception_carries_context(self):
         exc = MisspeculationError("boom", vid=3, addr=0x1234,
