@@ -93,10 +93,10 @@ def racecheck_backends(backends: Optional[Sequence[str]] = None,
             for key in ("events", "loads_checked", "stores", "commits",
                         "aborts", "violations"):
                 totals[key] += sub.coverage[key]
-            if tracer.dropped_events:
+            if tracer.dropped:
                 merged.findings.append(Finding(
                     "RC000", SEVERITY_ERROR, label,
-                    f"trace ring overflowed: {tracer.dropped_events} oldest "
+                    f"trace ring overflowed: {tracer.dropped} oldest "
                     "events evicted — the replay window is partial",
                     "raise BackendTracer capacity or lower the scale"))
             mismatch = semantics_mismatch(workload, result.system)

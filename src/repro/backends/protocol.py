@@ -124,9 +124,10 @@ class BackendObserver(Protocol):
     def vid_reset(self, system: Any) -> None: ...
 
 
-def attach_observer(system: Any, observer: BackendObserver) -> None:
-    """Point ``system.observer`` at ``observer``; a backend reports to one
-    observer, so attaching a second one is an error."""
+def attach_observer(system: Any, observer: Any) -> None:
+    """Point ``system.observer`` at ``observer``; a backend (or a memory
+    hierarchy) reports to one observer, so attaching a second one is an
+    error."""
     current = system.observer
     if current is not None:
         raise RuntimeError(
@@ -135,7 +136,7 @@ def attach_observer(system: Any, observer: BackendObserver) -> None:
     system.observer = observer
 
 
-def detach_observer(system: Any, observer: BackendObserver) -> None:
+def detach_observer(system: Any, observer: Any) -> None:
     """Clear ``system.observer`` if it is ``observer`` (idempotent)."""
     if system.observer is observer:
         system.observer = None

@@ -23,7 +23,7 @@ System-wide invariants maintained here (and checked by the test suite):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Protocol, Set, Tuple
 
 from ..errors import MisspeculationError, SpeculativeOverflowError
 from ..topology import TopologySpec
@@ -141,6 +141,34 @@ class AccessResult:
                 and self.created_version == other.created_version)
 
 
+class HierarchyObserver(Protocol):
+    """The events a hierarchy reports to its ``observer`` slot.
+
+    ``access_start`` runs before a ``load``/``store`` touches any cache;
+    whatever it returns comes back as ``start`` in ``access`` (the access
+    completed with ``result``) or ``misspeculation`` (it raised ``err``,
+    which then propagates).  ``commit``/``abort``/``vid_reset`` follow
+    the broadcast of that name.
+    """
+
+    def access_start(self, hierarchy: MemoryHierarchy,
+                     addr: int) -> Any: ...
+
+    def access(self, hierarchy: MemoryHierarchy, op: str, core: int,
+               addr: int, vid: int, result: AccessResult,
+               start: Any) -> None: ...
+
+    def misspeculation(self, hierarchy: MemoryHierarchy, core: int,
+                       addr: int, vid: int, err: MisspeculationError,
+                       start: Any) -> None: ...
+
+    def commit(self, hierarchy: MemoryHierarchy, vid: int) -> None: ...
+
+    def abort(self, hierarchy: MemoryHierarchy) -> None: ...
+
+    def vid_reset(self, hierarchy: MemoryHierarchy) -> None: ...
+
+
 @dataclass
 class HierarchyStats:
     """Aggregate memory-system statistics."""
@@ -253,6 +281,10 @@ class MemoryHierarchy:
         # Word-index shift for the fused access path (MainMemory rejects a
         # word size that is not a power of two).
         self._word_shift = self.memory.word_size.bit_length() - 1
+        #: The attached :class:`HierarchyObserver` (a
+        #: :class:`~repro.trace.events.ProtocolTracer`), or None.  Set and
+        #: cleared only by the observer's attach/detach.
+        self.observer: Optional[HierarchyObserver] = None
 
     # ------------------------------------------------------------------
     # Topology helpers
@@ -297,24 +329,49 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
 
     def load(self, core: int, addr: int, vid: int,
-             now: int = 0) -> AccessResult:
+             now: int = 0) -> AccessResult:  # hot-path
         """Perform a (possibly speculative) load from ``addr`` with ``vid``.
 
         ``now`` is the requesting core's current cycle, used for shared-bus
         contention accounting.
         """
-        self.stats.loads += 1
+        stats = self.stats
+        stats.loads += 1
         if vid > 0:
-            self.stats.spec_loads += 1
-        return self._access(core, addr, vid, AccessKind.READ, None, now)
+            stats.spec_loads += 1
+        observer = self.observer
+        if observer is not None:
+            start = observer.access_start(self, addr)
+        try:
+            result = self._access(core, addr, vid, AccessKind.READ, None, now)
+        except MisspeculationError as err:
+            if observer is not None:
+                observer.misspeculation(self, core, addr, vid, err, start)
+            raise
+        if observer is not None:
+            observer.access(self, "load", core, addr, vid, result, start)
+        return result
 
     def store(self, core: int, addr: int, vid: int, value: int,
-              now: int = 0) -> AccessResult:
+              now: int = 0) -> AccessResult:  # hot-path
         """Perform a (possibly speculative) store to ``addr`` with ``vid``."""
-        self.stats.stores += 1
+        stats = self.stats
+        stats.stores += 1
         if vid > 0:
-            self.stats.spec_stores += 1
-        return self._access(core, addr, vid, AccessKind.WRITE, value, now)
+            stats.spec_stores += 1
+        observer = self.observer
+        if observer is not None:
+            start = observer.access_start(self, addr)
+        try:
+            result = self._access(core, addr, vid, AccessKind.WRITE, value,
+                                  now)
+        except MisspeculationError as err:
+            if observer is not None:
+                observer.misspeculation(self, core, addr, vid, err, start)
+            raise
+        if observer is not None:
+            observer.access(self, "store", core, addr, vid, result, start)
+        return result
 
     def read_committed(self, addr: int) -> int:
         """Verification read of committed state: no timing, no statistics.
@@ -363,6 +420,8 @@ class MemoryHierarchy:
         self.stats.commits += 1
         for cache in self._caches:
             cache.broadcast_commit(vid)
+        if self.observer is not None:
+            self.observer.commit(self, vid)
         return self._commit_cost
 
     def abort(self) -> int:
@@ -370,6 +429,8 @@ class MemoryHierarchy:
         self.stats.aborts += 1
         for cache in self._caches:
             cache.broadcast_abort()
+        if self.observer is not None:
+            self.observer.abort(self)
         return self._commit_cost
 
     def vid_reset(self) -> int:
@@ -384,6 +445,8 @@ class MemoryHierarchy:
         self.stats.vid_resets += 1
         for cache in self._caches:
             cache.vid_reset()
+        if self.observer is not None:
+            self.observer.vid_reset(self)
         return self._reset_cost
 
     # ------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Tuple
 
 from ..coherence.hierarchy import AccessResult
-from ..coherence.protocol import AccessKind
 from ..errors import MisspeculationError, TransactionUsageError
 from ..txctl.causes import AbortCause, classify
 from .config import MachineConfig
@@ -130,23 +129,12 @@ class HMTXSystem(TMSystem):
         """Load with the thread's current VID attached."""
         ctx = self.contexts[tid]
         vid = ctx.vid
-        hierarchy = self.hierarchy
         observer = self.observer
         if observer is not None:
-            hstats = hierarchy.stats
+            hstats = self.hierarchy.stats
             overflows = hstats.spec_overflow_spills + hstats.overflow_retrievals
         try:
-            if "load" in hierarchy.__dict__:
-                # Instrumented (e.g. a protocol tracer wraps the bound
-                # method as an instance attribute): go through the wrapper.
-                result = hierarchy.load(ctx.core, addr, vid, now=now)
-            else:
-                hstats = hierarchy.stats
-                hstats.loads += 1
-                if vid > 0:
-                    hstats.spec_loads += 1
-                result = hierarchy._access(ctx.core, addr, vid,
-                                           AccessKind.READ, None, now)
+            result = self.hierarchy.load(ctx.core, addr, vid, now)
         except MisspeculationError as exc:
             # A load can misspeculate too: installing the fetched line may
             # evict a speculative version past the LLC (section 5.4).  The
@@ -180,21 +168,12 @@ class HMTXSystem(TMSystem):
         """Store with the thread's current VID attached."""
         ctx = self.contexts[tid]
         vid = ctx.vid
-        hierarchy = self.hierarchy
         observer = self.observer
         if observer is not None:
-            hstats = hierarchy.stats
+            hstats = self.hierarchy.stats
             overflows = hstats.spec_overflow_spills + hstats.overflow_retrievals
         try:
-            if "store" in hierarchy.__dict__:
-                result = hierarchy.store(ctx.core, addr, vid, value, now=now)
-            else:
-                hstats = hierarchy.stats
-                hstats.stores += 1
-                if vid > 0:
-                    hstats.spec_stores += 1
-                result = hierarchy._access(ctx.core, addr, vid,
-                                           AccessKind.WRITE, value, now)
+            result = self.hierarchy.store(ctx.core, addr, vid, value, now)
         except MisspeculationError as exc:
             line = addr - (addr % self.config.line_size)
             if not self.sla.enabled and line in self._wrong_path_marks:

@@ -122,34 +122,25 @@ def allocate_vid_with_stall(system: TMBackend) -> Program:
     return value is the fresh VID.
 
     The spin ops are plain :class:`~repro.cpu.isa.Work` — indistinguishable
-    from useful work at the executor — so when an observability session is
-    active the loop additionally counts its polls and retags them as
-    VID-reset quiesce time on exit.  The untraced branch is the original
-    loop verbatim: identical op stream, zero overhead.
+    from useful work at the executor — so the loop counts its polls and,
+    when an observability session is active, retags them as VID-reset
+    quiesce time on exit.  The op stream is the same either way.
     """
     obs = _obs.active
-    if obs is None:
-        while True:
-            try:
-                return system.allocate_vid()
-            except VidExhaustedError:
-                if system.ready_for_vid_reset():
-                    yield Work(system.vid_reset())
-                else:
-                    yield _SPIN_OP
     spins = 0
     while True:
         try:
             vid = system.allocate_vid()
-            if spins:
-                obs.record_spin("vid_reset", vid, spins)
-            return vid
         except VidExhaustedError:
             spins += 1
             if system.ready_for_vid_reset():
                 yield Work(system.vid_reset())
             else:
                 yield _SPIN_OP
+        else:
+            if spins and obs is not None:
+                obs.record_spin("vid_reset", vid, spins)
+            return vid
 
 
 def wait_for_epoch(system: TMBackend, epoch: int) -> Program:
@@ -161,15 +152,6 @@ def wait_for_epoch(system: TMBackend, epoch: int) -> Program:
     """
     obs = _obs.active
     max_vid = system.vid_space.max_vid
-    if obs is None:
-        while system.vid_space.resets < epoch:
-            done_epochs = system.vid_space.resets + 1
-            if system.stats.committed >= done_epochs * max_vid \
-                    and not system.active_vids:
-                yield Work(system.vid_reset())
-            else:
-                yield _SPIN_OP
-        return
     spins = 0
     while system.vid_space.resets < epoch:
         spins += 1
@@ -179,22 +161,18 @@ def wait_for_epoch(system: TMBackend, epoch: int) -> Program:
             yield Work(system.vid_reset())
         else:
             yield _SPIN_OP
-    if spins:
+    if spins and obs is not None:
         obs.record_spin("vid_reset", 0, spins)
 
 
 def wait_commit_turn(system: TMBackend, vid: int) -> Program:
     """Spin until ``vid - 1`` has committed (in-order commit contract)."""
     obs = _obs.active
-    if obs is None:
-        while system.last_committed != vid - 1:
-            yield _SPIN_OP
-        return
     spins = 0
     while system.last_committed != vid - 1:
         spins += 1
         yield _SPIN_OP
-    if spins:
+    if spins and obs is not None:
         obs.record_spin("commit_stall", vid, spins)
 
 

@@ -137,7 +137,6 @@ class SMTXSystem(BufferedTM):
         self.log = ValidationLog()
         #: Sequential work accumulated on the commit process's core.
         self.commit_process_cycles = 0
-        self.forwarded_words = 0
 
     # perfbench/tracer.py times these per backend class, reading each
     # from the class's own ``__dict__``: bind the shared lifecycle here.
@@ -197,7 +196,6 @@ class SMTXSystem(BufferedTM):
             if source_vid not in (0, vid):
                 # Uncommitted value forwarding through software queues.
                 latency += self.costs.forward_entry
-                self.forwarded_words += 1
             sla = False
             if self._validated(addr, False) and source_vid != vid:
                 self.log.log_read(vid, addr, value)
@@ -232,6 +230,7 @@ class SMTXSystem(BufferedTM):
     def wrong_path_load(self, tid: int, addr: int) -> Tuple[int, int]:
         """Squashed loads are invisible to a software TM (no logging)."""
         ctx = self.contexts[tid]
+        self.stats.wrong_path_loads += 1
         value = self.memory.read(ctx.vid, addr)
         _, latency = self.timing.peek(ctx.core, addr, 0)
         return value, latency

@@ -37,26 +37,23 @@ Wrong-path (squashed) loads are deliberately *not* recorded: they are
 architecturally invisible, and the race detector must not treat them as
 real reads.
 
-The event store is a **ring**: past ``capacity`` the *oldest* event is
-evicted for each new one, so a long run always keeps its most recent
-window (where the interesting endgame usually is) instead of silently
-freezing at the start.  ``dropped_events`` counts the evictions;
-:func:`~repro.trace.format.format_trace` surfaces it in the header and
-the race detector reports any truncated trace as a hard finding (rule
-``RC000`` — a racecheck over a partial window proves nothing).
+The event store is the :class:`~repro.trace.events.EventLog` ring: past
+``capacity`` the oldest event is evicted, ``dropped`` counts the
+evictions, and the race detector reports any truncated trace as a hard
+finding (rule ``RC000`` — a racecheck over a partial window proves
+nothing).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Optional
 
 from ..backends.protocol import attach_observer, detach_observer
 from ..errors import MisspeculationError
-from .events import TraceEvent
+from .events import EventLog
 
 
-class BackendTracer:
+class BackendTracer(EventLog):
     """Records the architectural MTX events of one backend run.
 
     Usage::
@@ -68,21 +65,8 @@ class BackendTracer:
     """
 
     def __init__(self, system, capacity: int = 1_000_000) -> None:
+        super().__init__(capacity)
         self.system = system
-        self.capacity = capacity
-        #: Ring of the most recent ``capacity`` events (oldest evicted
-        #: first).  A deque without ``maxlen`` so ``capacity`` can be
-        #: adjusted after construction (tests do).
-        self.events: Deque[TraceEvent] = deque()
-        self.dropped = 0
-        self._seq = 0
-
-    @property
-    def dropped_events(self) -> int:
-        """Events evicted from the ring (0 means the trace is complete)."""
-        return self.dropped
-
-    # ------------------------------------------------------------------
 
     @classmethod
     def attach(cls, system) -> "BackendTracer":
@@ -93,18 +77,6 @@ class BackendTracer:
     def detach(self) -> None:
         """Clear the system's observer slot (idempotent)."""
         detach_observer(self.system, self)
-
-    # ------------------------------------------------------------------
-
-    def record(self, kind: str, core: Optional[int] = None,
-               vid: Optional[int] = None, addr: Optional[int] = None,
-               detail: str = "", value: Optional[int] = None) -> None:
-        while len(self.events) >= self.capacity:
-            self.events.popleft()
-            self.dropped += 1
-        self._seq += 1
-        self.events.append(TraceEvent(self._seq, kind, core, vid, addr,
-                                      detail, value))
 
     # ------------------------------------------------------------------
     # Backend events
@@ -145,14 +117,3 @@ class BackendTracer:
 
     def allocate(self, system, vid: int) -> None:
         """Not traced: a VID matters once an access or commit uses it."""
-
-    # ------------------------------------------------------------------
-
-    def of_kind(self, kind: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
-
-    def summary(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts

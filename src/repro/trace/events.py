@@ -7,17 +7,21 @@ arcs), commits, aborts, overflow spills, and misspeculations.  The trace is
 what Figure 5 is for one address, for a whole run — invaluable both for
 debugging workloads and for teaching the protocol.
 
-Tracing is implemented with method wrapping rather than hooks baked into
-the hierarchy's hot paths, so untraced runs pay nothing.
+The tracer occupies the hierarchy's ``observer`` slot (a
+:class:`~repro.coherence.hierarchy.HierarchyObserver`): the hierarchy
+reports each access and broadcast to it, and an untraced run pays one
+``observer is not None`` test per report site.  :class:`EventLog` is the
+event store it shares with :class:`~repro.trace.capture.BackendTracer`.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional
 
-from ..coherence.hierarchy import MemoryHierarchy
+from ..backends.protocol import attach_observer, detach_observer
+from ..coherence.hierarchy import AccessResult, MemoryHierarchy
 from ..errors import MisspeculationError
 
 
@@ -50,7 +54,45 @@ class TraceEvent:
         return " ".join(parts)
 
 
-class ProtocolTracer:
+class EventLog:
+    """A ring of the most recent ``capacity`` :class:`TraceEvent` s.
+
+    Past ``capacity`` the *oldest* event is evicted for each new one, so a
+    long run keeps its most recent window (where the interesting endgame
+    usually is) instead of silently freezing at the start.  ``dropped``
+    counts the evictions (0 means the trace is complete);
+    :func:`~repro.trace.format.format_trace` surfaces it in the header.
+    ``events`` is a deque without ``maxlen`` so ``capacity`` can be
+    adjusted after construction (tests do).
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.events: Deque[TraceEvent] = deque()
+        self.dropped = 0
+        self._seq = 0
+
+    def record(self, kind: str, core: Optional[int] = None,
+               vid: Optional[int] = None, addr: Optional[int] = None,
+               detail: str = "", value: Optional[int] = None) -> None:
+        while len(self.events) >= self.capacity:
+            self.events.popleft()
+            self.dropped += 1
+        self._seq += 1
+        self.events.append(TraceEvent(self._seq, kind, core, vid, addr,
+                                      detail, value))
+
+    def of_kind(self, kind: str) -> List[TraceEvent]:
+        return [e for e in self.events if e.kind == kind]
+
+    def summary(self) -> Dict[str, int]:
+        counts: Dict[str, int] = {}
+        for event in self.events:
+            counts[event.kind] = counts.get(event.kind, 0) + 1
+        return counts
+
+
+class ProtocolTracer(EventLog):
     """Records the protocol events of one hierarchy.
 
     Usage::
@@ -67,125 +109,70 @@ class ProtocolTracer:
     def __init__(self, hierarchy: MemoryHierarchy,
                  addresses: Optional[set] = None,
                  capacity: int = 100_000) -> None:
+        super().__init__(capacity)
         self.hierarchy = hierarchy
         self.addresses = addresses
-        self.capacity = capacity
-        self.events: List[TraceEvent] = []
-        self.dropped = 0
-        self._seq = 0
-        self._originals: Dict[str, Callable] = {}
-
-    # ------------------------------------------------------------------
 
     @classmethod
     def attach(cls, hierarchy: MemoryHierarchy,
                addresses: Optional[set] = None) -> "ProtocolTracer":
         tracer = cls(hierarchy, addresses=addresses)
-        tracer._wrap_all()
+        attach_observer(hierarchy, tracer)
         return tracer
 
     def detach(self) -> None:
-        """Restore the hierarchy's unwrapped methods.
-
-        Unwinds in reverse wrap order so stacked tracers (or any other
-        wrapper applied after this one) peel off like a stack: restoring
-        in insertion order would resurrect the innermost function over an
-        outer tracer's wrapper and silently stop recording its events.
-        """
-        for name in reversed(list(self._originals)):
-            setattr(self.hierarchy, name, self._originals[name])
-        self._originals.clear()
-
-    # ------------------------------------------------------------------
+        """Clear the hierarchy's observer slot (idempotent)."""
+        detach_observer(self.hierarchy, self)
 
     def _line(self, addr: int) -> int:
         return addr - (addr % self.hierarchy.config.line_size)
 
-    def _interesting(self, addr: Optional[int]) -> bool:
-        if addr is None or self.addresses is None:
-            return True
-        return self._line(addr) in self.addresses
+    # ------------------------------------------------------------------
+    # Hierarchy events
+    # ------------------------------------------------------------------
 
-    def record(self, kind: str, core: Optional[int] = None,
-               vid: Optional[int] = None, addr: Optional[int] = None,
-               detail: str = "", value: Optional[int] = None) -> None:
-        if not self._interesting(addr):
+    def access_start(self, hierarchy: MemoryHierarchy,
+                     addr: int) -> Optional[int]:
+        """Versions of ``addr`` cached before the access (None: filtered)."""
+        if self.addresses is not None \
+                and self._line(addr) not in self.addresses:
+            return None
+        return len(hierarchy.versions_everywhere(addr))
+
+    def access(self, hierarchy: MemoryHierarchy, op: str, core: int,
+               addr: int, vid: int, result: AccessResult,
+               start: Optional[int]) -> None:
+        if start is None:
             return
-        if len(self.events) >= self.capacity:
-            self.dropped += 1
-            return
-        self._seq += 1
-        self.events.append(TraceEvent(self._seq, kind, core, vid, addr,
-                                      detail, value))
+        detail = f"hit={result.served_by}"
+        if result.created_version:
+            detail += " +version"
+        if result.sla_required:
+            detail += " sla"
+        self.record(op, core, vid, addr, detail=detail, value=result.value)
+        after = len(hierarchy.versions_everywhere(addr))
+        if after != start:
+            self.record("versions", core, vid, addr,
+                        detail=f"{start} -> {after} cached")
+
+    def misspeculation(self, hierarchy: MemoryHierarchy, core: int,
+                       addr: int, vid: int, err: MisspeculationError,
+                       start: Optional[int]) -> None:
+        if start is not None:
+            self.record("misspeculation", core, vid, addr, detail=err.reason)
+
+    def commit(self, hierarchy: MemoryHierarchy, vid: int) -> None:
+        self.record("commit", vid=vid, detail=f"VID {vid}")
+
+    def abort(self, hierarchy: MemoryHierarchy) -> None:
+        self.record("abort", detail="all uncommitted state flushed")
+
+    def vid_reset(self, hierarchy: MemoryHierarchy) -> None:
+        self.record("vid_reset", detail="VID namespace recycled")
 
     # ------------------------------------------------------------------
-
-    def _wrap_all(self) -> None:
-        self._wrap_access("load")
-        self._wrap_access("store")
-        self._wrap_broadcast("commit", lambda vid: f"VID {vid}")
-        self._wrap_broadcast("abort", lambda: "all uncommitted state flushed")
-        self._wrap_broadcast("vid_reset", lambda: "VID namespace recycled")
-
-    def _wrap_access(self, name: str) -> None:
-        original = getattr(self.hierarchy, name)
-        self._originals[name] = original
-        tracer = self
-
-        @functools.wraps(original)
-        def wrapped(core, addr, vid, *args, **kwargs):
-            versions_before = len(tracer.hierarchy.versions_everywhere(addr)) \
-                if tracer._interesting(addr) else 0
-            try:
-                result = original(core, addr, vid, *args, **kwargs)
-            except MisspeculationError as err:
-                tracer.record("misspeculation", core, vid, addr,
-                              detail=err.reason)
-                raise
-            detail = f"hit={result.served_by}"
-            if result.created_version:
-                detail += " +version"
-            if result.sla_required:
-                detail += " sla"
-            tracer.record(name, core, vid, addr, detail=detail,
-                          value=result.value)
-            if tracer._interesting(addr):
-                after = len(tracer.hierarchy.versions_everywhere(addr))
-                if after != versions_before:
-                    tracer.record("versions", core, vid, addr,
-                                  detail=f"{versions_before} -> {after} cached")
-            return result
-
-        setattr(self.hierarchy, name, wrapped)
-
-    def _wrap_broadcast(self, name: str, describe: Callable[..., str]) -> None:
-        original = getattr(self.hierarchy, name)
-        self._originals[name] = original
-        tracer = self
-
-        @functools.wraps(original)
-        def wrapped(*args, **kwargs):
-            result = original(*args, **kwargs)
-            vid = args[0] if name == "commit" and args else None
-            tracer.record(name, vid=vid, detail=describe(*args, **kwargs))
-            return result
-
-        setattr(self.hierarchy, name, wrapped)
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-
-    def of_kind(self, kind: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
 
     def for_address(self, addr: int) -> List[TraceEvent]:
         line = self._line(addr)
         return [e for e in self.events
                 if e.addr is not None and self._line(e.addr) == line]
-
-    def summary(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts

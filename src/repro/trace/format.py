@@ -12,7 +12,7 @@ def format_trace(events: Iterable[TraceEvent],
                  dropped: int = 0) -> str:
     """One line per event, in sequence order.
 
-    ``dropped`` (a ring tracer's ``dropped_events``) is surfaced in the
+    ``dropped`` (an event log's ``dropped`` count) is surfaced in the
     header so a truncated window is never mistaken for a full trace.
     """
     events = list(events)

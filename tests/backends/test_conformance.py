@@ -11,7 +11,8 @@ rely on:
 * the behavioural core — begin/store/commit updates ``last_committed``
   and buffers output until commit; ``abort_mtx`` raises
   :class:`MisspeculationError` stamped ``AbortCause.EXPLICIT`` and lands
-  in the txctl taxonomy — is identical across backends;
+  in the txctl taxonomy; a wrong-path load is counted in
+  ``stats.wrong_path_loads`` — is identical across backends;
 * the shared lifecycle rejects the same misuse on every backend (an
   out-of-range core, a VID outside the space, committing a VID never
   begun) and ``abort_mtx`` leaves every context at VID 0 with the next
@@ -130,6 +131,13 @@ class TestBehaviour:
         # Speculative state and buffered output are gone.
         assert backend.committed_output == []
         assert backend.last_committed == 0
+
+    def test_wrong_path_load_is_counted(self, backend):
+        """Table 1's wrong-path count must not depend on the backend."""
+        backend.thread(0, core=0)
+        backend.begin_mtx(0, backend.allocate_vid())
+        backend.wrong_path_load(0, ADDR)
+        assert backend.stats.wrong_path_loads == 1
 
     def test_runs_a_workload_end_to_end(self):
         """Every backend drives the paradigm executors unchanged."""

@@ -12,14 +12,14 @@ class TestRingBuffer:
         for i in range(5):
             tracer.record("load", vid=0, addr=i * 64, value=i)
         assert len(tracer.events) == 5
-        assert tracer.dropped_events == 0
+        assert tracer.dropped == 0
 
     def test_overflow_evicts_oldest_keeps_newest(self):
         tracer = BackendTracer(system=None, capacity=5)
         for i in range(12):
             tracer.record("store", vid=0, addr=i * 64, value=i)
         assert len(tracer.events) == 5
-        assert tracer.dropped_events == 7
+        assert tracer.dropped == 7
         # The surviving window is the most recent one, in order.
         assert [e.seq for e in tracer.events] == [8, 9, 10, 11, 12]
         assert [e.value for e in tracer.events] == [7, 8, 9, 10, 11]
@@ -30,7 +30,7 @@ class TestRingBuffer:
         for i in range(10):
             tracer.record("load", vid=0, addr=i * 64, value=i)
         assert len(tracer.events) == 3
-        assert tracer.dropped_events == 7
+        assert tracer.dropped == 7
 
 
 class TestDroppedSurfacing:
@@ -38,7 +38,7 @@ class TestDroppedSurfacing:
         tracer = BackendTracer(system=None, capacity=2)
         for i in range(6):
             tracer.record("load", vid=0, addr=i * 64, value=i)
-        text = format_trace(tracer.events, dropped=tracer.dropped_events)
+        text = format_trace(tracer.events, dropped=tracer.dropped)
         first = text.splitlines()[0]
         assert "ring overflow" in first
         assert "4 oldest events dropped" in first
@@ -47,5 +47,5 @@ class TestDroppedSurfacing:
     def test_complete_trace_has_no_warning(self):
         tracer = BackendTracer(system=None, capacity=16)
         tracer.record("commit", vid=1, detail="VID 1")
-        text = format_trace(tracer.events, dropped=tracer.dropped_events)
+        text = format_trace(tracer.events, dropped=tracer.dropped)
         assert "ring overflow" not in text

@@ -1,14 +1,13 @@
 """Attach/detach roundtrip over the fast-path version indices.
 
-Tracing wraps the hierarchy's hot methods; the wrapped calls must flow
-through the same epoch/index bookkeeping as untraced ones, a traced run
-must produce bit-identical statistics, and ``detach()`` must unwind like
-a stack so nested tracers survive each other.
+A tracer occupies the hierarchy's one ``observer`` slot; observed
+accesses must flow through the same epoch/index bookkeeping as
+unobserved ones, a traced run must produce bit-identical statistics, a
+second tracer is refused, and ``detach()`` empties the slot idempotently.
 """
 
 import pytest
 
-from repro.coherence.hierarchy import MemoryHierarchy
 from repro.core import HMTXSystem, MachineConfig
 from repro.runtime.paradigms import run_workload
 from repro.trace import ProtocolTracer
@@ -53,37 +52,34 @@ class TestRoundtrip:
             tracer.detach()
         traced.system.hierarchy.check_invariants()
 
-    def test_detach_restores_originals(self):
-        system = HMTXSystem(MachineConfig())
-        tracer = ProtocolTracer.attach(system.hierarchy)
-        wrapped = system.hierarchy.load  # instance-attr function, not bound
-        assert getattr(wrapped, "__func__", None) is not MemoryHierarchy.load
-        tracer.detach()
-        for name in ("load", "store", "commit", "abort", "vid_reset"):
-            restored = getattr(system.hierarchy, name)
-            assert restored.__func__ is getattr(MemoryHierarchy, name), name
-        assert tracer._originals == {}
-
-    def test_nested_tracers_unwind_like_a_stack(self):
-        """Regression: detaching the outer tracer must not resurrect the
-        raw method over the inner tracer's wrapper (the insertion-order
-        detach bug silently stopped the surviving tracer's recording)."""
+    def test_detach_is_idempotent(self):
         system = HMTXSystem(MachineConfig())
         system.thread(0, core=0)
-        inner = ProtocolTracer.attach(system.hierarchy)
-        outer = ProtocolTracer.attach(system.hierarchy)
-
+        hierarchy = system.hierarchy
+        tracer = ProtocolTracer.attach(hierarchy)
+        assert hierarchy.observer is tracer
+        # The slot replaces no method: nothing lands in the instance dict.
+        assert not set(vars(hierarchy)) & {
+            "load", "store", "commit", "abort", "vid_reset"}
         system.store(0, 0x40, 1)
-        assert len(inner.of_kind("store")) == 1
-        assert len(outer.of_kind("store")) == 1
+        tracer.detach()
+        tracer.detach()
+        assert hierarchy.observer is None
+        system.store(0, 0x80, 2)              # nobody records any more
+        assert len(tracer.of_kind("store")) == 1
+        hierarchy.check_invariants()
 
-        outer.detach()
-        system.store(0, 0x80, 2)              # inner must still see this
-        assert len(inner.of_kind("store")) == 2
-        assert len(outer.of_kind("store")) == 1
-
-        inner.detach()
-        system.store(0, 0xC0, 3)              # nobody records any more
-        assert len(inner.of_kind("store")) == 2
-        assert system.hierarchy.load.__func__ is MemoryHierarchy.load
-        system.hierarchy.check_invariants()
+    def test_second_attach_raises(self):
+        """A hierarchy reports to one observer: a second tracer is refused
+        with the current one named, and the first keeps recording."""
+        system = HMTXSystem(MachineConfig())
+        system.thread(0, core=0)
+        first = ProtocolTracer.attach(system.hierarchy)
+        with pytest.raises(RuntimeError,
+                           match="already observed by ProtocolTracer"):
+            ProtocolTracer.attach(system.hierarchy)
+        assert system.hierarchy.observer is first
+        system.store(0, 0x40, 1)
+        assert len(first.of_kind("store")) == 1
+        first.detach()
+        ProtocolTracer.attach(system.hierarchy).detach()

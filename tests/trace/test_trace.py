@@ -1,5 +1,8 @@
 """Tests for the protocol tracer."""
 
+import runpy
+from pathlib import Path
+
 import pytest
 
 from repro.core import HMTXSystem, MachineConfig
@@ -81,7 +84,7 @@ class TestTracer:
         before = len(tracer.events)
         system.store(0, ADDR, 0, 1)
         assert len(tracer.events) == before
-        tracer._wrap_all()   # re-attach so the fixture's detach is a no-op
+        assert system.hierarchy.observer is None
 
     def test_capacity_bound(self):
         system = HMTXSystem(MachineConfig(num_cores=1))
@@ -149,3 +152,24 @@ class TestTracedWorkload:
         assert summary["load"] > 0 and summary["store"] > 0
         assert "misspeculation" not in summary
         tracer.detach()
+
+
+class TestProtocolTour:
+    """``examples/protocol_tour.py`` stop 7 traces a bare hierarchy."""
+
+    PINNED = """
+[7] The same story, as a protocol trace
+
+history of line 0xa000 (6 events)
+       1 load           core0 vid=1 addr=0xa000 val=0 hit=memory sla
+       2 versions       core0 vid=1 addr=0xa000 0 -> 1 cached
+       3 store          core0 vid=1 addr=0xa000 val=1 hit=L1[0] +version
+       4 versions       core0 vid=1 addr=0xa000 1 -> 2 cached
+       5 load           core1 vid=2 addr=0xa000 val=1 hit=L1[0]
+       6 versions       core1 vid=2 addr=0xa000 2 -> 3 cached
+"""
+
+    def test_stop7_output_is_pinned(self, capsys):
+        tour = Path(__file__).parents[2] / "examples" / "protocol_tour.py"
+        runpy.run_path(str(tour))["stop7_trace"]()
+        assert capsys.readouterr().out == self.PINNED
